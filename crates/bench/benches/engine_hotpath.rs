@@ -41,7 +41,7 @@ fn bench_engine_hotpath(c: &mut Criterion) {
     for (machine, n) in [(Machine::E5, 8), (Machine::Knl, 8)] {
         let mut eng = hc_engine(machine, n);
         let t0 = std::time::Instant::now();
-        let report = eng.run();
+        let report = eng.try_run().expect("run completes");
         let dt = t0.elapsed().as_secs_f64();
         println!(
             "engine_hotpath calibration {}_n{}: {} events in {:.3}s = {:.2} M events/s",
@@ -60,7 +60,7 @@ fn bench_engine_hotpath(c: &mut Criterion) {
         g.bench_function(format!("hc_faa_{}_n{}", machine.label(), n), |b| {
             b.iter_batched(
                 || hc_engine(machine, n),
-                |mut eng| eng.run(),
+                |mut eng| eng.try_run().expect("run completes"),
                 BatchSize::LargeInput,
             )
         });

@@ -561,7 +561,6 @@ fn run_all(args: &Args, ctx: ExpCtx) -> ExitCode {
 }
 
 /// `repro conform`: run the trace-refinement campaign (pass 5).
-#[cfg(feature = "conform")]
 fn run_conform(args: &Args) -> ExitCode {
     let cargs = bounce_bench::conform::ConformArgs {
         quick: args.quick,
@@ -582,18 +581,6 @@ fn run_conform(args: &Args) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Recorder compiled out (`--no-default-features`): refuse loudly
-/// instead of silently checking nothing.
-#[cfg(not(feature = "conform"))]
-fn run_conform(_args: &Args) -> ExitCode {
-    eprintln!(
-        "error: conform: the engine trace recorder is compiled out \
-         (this binary was built with --no-default-features); rebuild \
-         bounce-bench with the default 'conform' feature"
-    );
-    ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {

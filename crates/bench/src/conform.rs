@@ -212,25 +212,22 @@ fn run_scenario(
     }
     let duration = if quick { 30_000 } else { 120_000 };
     let cfg = SimConfig::new(params, duration);
-    let mut eng = Engine::new(&topo, cfg);
     let programs = (sc.programs)();
     assert!(
         (2..=4).contains(&programs.len()),
         "conform scenarios use 2-4 threads"
     );
     let tracked: Vec<u32> = (0..programs.len() as u32).collect();
+    let mut eng = Engine::with_probe(&topo, cfg, ConformRecorder::new(tracked));
     for (i, p) in programs.into_iter().enumerate() {
         // One thread per core: SMT slot 0 of cores 0..n. The verified
         // model is per-core, so siblings sharing an L1 would have no
         // abstract image.
         eng.add_thread(topo.cores[i].threads[0], p);
     }
-    eng.set_conform_recorder(ConformRecorder::new(tracked));
     eng.try_run()
         .map_err(|e| format!("scenario {} under {proto}: {e}", sc.name))?;
-    Ok(eng
-        .take_conform_recorder()
-        .expect("recorder stays attached"))
+    Ok(eng.into_probe())
 }
 
 /// Committed-coverage baseline, parsed from the hand-rolled JSON.

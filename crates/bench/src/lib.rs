@@ -5,7 +5,6 @@
 #![warn(missing_docs)]
 
 pub mod bench_json;
-#[cfg(feature = "conform")]
 pub mod conform;
 pub mod manifest;
 

@@ -9,7 +9,7 @@
 use crate::measurement::Measurement;
 use crate::modeltime::predict_timed;
 use crate::report::{fmt_f64, Table};
-use crate::simrun::{try_sim_measure, try_sim_measure_pinned, SimRunConfig};
+use crate::simrun::{try_sim_measure, try_sim_measure_pinned, try_sim_report, SimRunConfig};
 use bounce_atomics::Primitive;
 use bounce_core::fairness::{predict_jain, ArbitrationKind};
 use bounce_core::{BouncingModel, ModelParams, Scenario};
@@ -1144,24 +1144,19 @@ pub fn latency_hist(ctx: ExpCtx, machine: Machine) -> ExpResult {
             "share",
         ],
     );
+    let w = Workload::HighContention {
+        prim: Primitive::Faa,
+    };
     for n in ns {
         if n > topo.num_threads() {
             continue;
         }
-        // Re-run through the engine directly to reach the histogram.
-        let sim_cfg = bounce_sim::SimConfig::new(cfg.params.clone(), cfg.duration_cycles);
-        let mut eng = bounce_sim::Engine::new(&topo, sim_cfg);
-        let w = Workload::HighContention {
-            prim: Primitive::Faa,
-        };
-        for (hw, p) in Placement::Scattered
-            .assign(&topo, n)
-            .into_iter()
-            .zip(w.sim_programs(n))
-        {
-            eng.add_thread(hw, p);
-        }
-        let report = eng.run();
+        // The full report, not a `Measurement`: it holds the histogram.
+        let hw = Placement::Scattered.assign(&topo, n);
+        let report = try_sim_report(&topo, &w, &hw, &cfg).map_err(|e| ExpError::Sim {
+            context: format!("{} n={n} on {}", w.label(), topo.name),
+            source: Box::new(e),
+        })?;
         let merged = report.merged_latency();
         let total = merged.count.max(1) as f64;
         for (i, &count) in merged.hist.iter().enumerate() {
@@ -1717,6 +1712,22 @@ mod tests {
         let labels: std::collections::BTreeSet<String> =
             registered.iter().map(|w| w.label()).collect();
         assert_eq!(labels.len(), registered.len());
+    }
+
+    #[test]
+    fn latency_hist_reports_a_bad_config_as_sim_error() {
+        let fabric = FabricFaultConfig {
+            nack_per_mille: 5000,
+            ..FabricFaultConfig::default()
+        };
+        let ctx = ExpCtx::quick().with_fabric_faults(fabric);
+        match latency_hist(ctx, Machine::E5) {
+            Err(e @ ExpError::Sim { .. }) => {
+                let msg = e.to_string();
+                assert!(msg.contains("fabric.nack_per_mille"), "{msg}");
+            }
+            other => panic!("expected ExpError::Sim, got {other:?}"),
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::measurement::{Backend, Measurement};
 use bounce_sim::{
     Engine, FabricFaultConfig, FaultConfig, RetryPolicy, RunLength, SimConfig, SimError, SimParams,
+    SimReport,
 };
 use bounce_topo::{HwThreadId, MachineTopology, Placement};
 use bounce_workloads::Workload;
@@ -132,18 +133,7 @@ pub fn try_sim_measure_pinned(
     cfg: &SimRunConfig,
 ) -> Result<Measurement, SimError> {
     let n = hw.len();
-    // Typed validation before construction: `Engine::new` panics on a
-    // bad config, campaigns want the field-naming error instead.
-    cfg.params
-        .validate()
-        .map_err(|error| SimError::InvalidConfig { error })?;
-    let sim_cfg = SimConfig::new(cfg.params.clone(), cfg.duration_cycles);
-    let mut engine = Engine::new(topo, sim_cfg);
-    let programs = workload.sim_programs(n);
-    for (&h, p) in hw.iter().zip(programs) {
-        engine.add_thread(h, p);
-    }
-    let report = engine.try_run()?;
+    let report = try_sim_report(topo, workload, hw, cfg)?;
     Ok(Measurement {
         workload: workload.label(),
         machine: topo.name.clone(),
@@ -170,6 +160,27 @@ pub fn try_sim_measure_pinned(
         }),
         per_thread_ops: report.threads.iter().map(|t| t.ops).collect(),
     })
+}
+
+/// Run `workload` pinned to `hw` on the simulated `topo` and return the
+/// engine's full report.
+pub(crate) fn try_sim_report(
+    topo: &MachineTopology,
+    workload: &Workload,
+    hw: &[HwThreadId],
+    cfg: &SimRunConfig,
+) -> Result<SimReport, SimError> {
+    // Typed validation before construction: `Engine::new` panics on a
+    // bad config, campaigns want the field-naming error instead.
+    cfg.params
+        .validate()
+        .map_err(|error| SimError::InvalidConfig { error })?;
+    let sim_cfg = SimConfig::new(cfg.params.clone(), cfg.duration_cycles);
+    let mut engine = Engine::new(topo, sim_cfg);
+    for (&h, p) in hw.iter().zip(workload.sim_programs(hw.len())) {
+        engine.add_thread(h, p);
+    }
+    engine.try_run()
 }
 
 /// Repeat a measurement across RNG seeds (only the `Random` arbitration

@@ -1,9 +1,8 @@
 //! Conformance trace recorder: the engine-side half of verification
 //! pass 5 (see `crates/verify/src/conform/`).
 //!
-//! When a [`ConformRecorder`] is attached to an [`Engine`](crate::Engine)
-//! (requires the `conform-trace` cargo feature), the engine emits one
-//! [`ConformEvent`] at every coherence-observable transition of every
+//! A [`ConformRecorder`] is an engine [`Probe`] that keeps one
+//! [`ConformEvent`] for every coherence-observable transition of every
 //! tracked line: a request joining a directory queue, a fabric NACK, a
 //! service departing (invalidations/demotions at the peers), a service
 //! completing (the install at the requester), a silent E→M write hit,
@@ -13,17 +12,9 @@
 //! abstraction. The abstraction function that maps these snapshots onto
 //! the verified model checker's states lives in the verify crate, next
 //! to the transition relation it targets.
-//!
-//! The types here are deliberately *not* feature-gated so that the
-//! verify crate can name them unconditionally; only the engine's
-//! recorder field and hooks are behind `conform-trace`. With the feature
-//! off the recorder cannot be attached and the engine contains no trace
-//! code at all; with the feature on but no recorder attached every hook
-//! is a single `Option` test on a cold path. Neither arm perturbs
-//! simulation state, so campaign output is byte-identical in all three
-//! configurations (gated in CI).
 
 use crate::cache::{LineId, LineState};
+use crate::probe::{Probe, ProbeEvent, Transition};
 
 /// A concrete snapshot of one line's coherence-visible state: the
 /// directory record plus the cache state of every *tracked* core, in
@@ -152,13 +143,39 @@ impl ConformRecorder {
         }
     }
 
-    /// Append one event.
-    pub fn record(&mut self, ev: ConformEvent) {
-        self.events.push(ev);
-    }
-
     /// The abstract index of a concrete core, if tracked.
     pub fn abs_core(&self, core: u32) -> Option<usize> {
         self.tracked.iter().position(|&c| c == core)
+    }
+}
+
+impl Probe for ConformRecorder {
+    fn snapshot_cores(&self) -> Option<&[u32]> {
+        Some(&self.tracked)
+    }
+
+    fn observe(&mut self, ev: ProbeEvent) {
+        let kind = match ev.kind {
+            Transition::Queue { excl } => ConformKind::Queue { excl },
+            Transition::Nack { excl, attempt } => ConformKind::Nack { excl, attempt },
+            Transition::ServiceStart { excl, .. } => ConformKind::ServiceStart { excl },
+            Transition::ServiceDone { excl } => ConformKind::ServiceDone { excl },
+            Transition::Hit { upgrade: true } => ConformKind::WriteHit,
+            Transition::Evict { state } => ConformKind::Evict { state },
+            Transition::Hit { upgrade: false } | Transition::Miss { .. } => return,
+        };
+        let Some((pre, post)) = ev.snapshots else {
+            return;
+        };
+        self.events.push(ConformEvent {
+            at: ev.at,
+            line: ev.line,
+            core: ev.core as u32,
+            thread: ev.thread.map(|t| t as u32),
+            pc: ev.pc.map(|pc| pc as u32),
+            kind,
+            pre,
+            post,
+        });
     }
 }

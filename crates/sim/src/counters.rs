@@ -2,7 +2,7 @@
 //!
 //! The parallel campaign executor runs many [`Engine`](crate::Engine)s
 //! concurrently; each engine folds its per-run event count into this
-//! global tally when `run()` returns. The repro driver reads it to
+//! global tally when `try_run()` returns. The repro driver reads it to
 //! report aggregate events/sec in `--timings` output and
 //! `BENCH_repro.json`.
 //!

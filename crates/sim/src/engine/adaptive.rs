@@ -17,6 +17,7 @@
 //! stops at the same boundary on every run, at any `--jobs N`.
 
 use super::Engine;
+use crate::probe::Probe;
 use crate::report::{jain, RunLengthSummary};
 use bounce_core::converge::BatchMeans;
 
@@ -79,7 +80,7 @@ impl AdaptiveCtl {
     }
 }
 
-impl Engine {
+impl<P: Probe> Engine<P> {
     /// Cross every batch boundary at or before `time` (the just-popped
     /// event time): close the batch ending at each boundary, feed the
     /// series, and return `Some(boundary)` if throughput converged

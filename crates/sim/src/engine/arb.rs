@@ -4,9 +4,10 @@
 
 use super::Engine;
 use crate::config::ArbitrationPolicy;
+use crate::probe::Probe;
 use rand::Rng;
 
-impl Engine {
+impl<P: Probe> Engine<P> {
     /// Arbitration: the queue index to serve next, restricted to GetS
     /// requests when `shared_only`.
     pub(super) fn pick_request(&mut self, idx: u32, shared_only: bool) -> Option<usize> {

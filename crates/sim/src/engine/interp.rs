@@ -7,11 +7,11 @@
 use super::{CurOp, Engine, Ev, Status, MAX_STEPS_PER_RESUME};
 use crate::cache::{LineId, LineState, WordAddr};
 use crate::directory::Request;
+use crate::probe::{Probe, Transition};
 use crate::program::{resolve, SpinPred, Step};
-use crate::trace::TraceEvent;
 use bounce_atomics::{OpOutcome, Primitive};
 
-impl Engine {
+impl<P: Probe> Engine<P> {
     pub(super) fn run_thread(&mut self, tid: usize) {
         if self.threads[tid].status == Status::Halted {
             return;
@@ -175,25 +175,13 @@ impl Engine {
         self.energy.ops_j += self.cfg.params.energy.op_nj * 1e-9;
         if satisfied {
             // --- hit ---
-            self.trace(|at| TraceEvent::Hit {
-                at,
-                thread: tid,
-                line,
-            });
             self.caches[core].touch(line);
-            if prim.needs_exclusive() && state == LineState::Exclusive {
-                #[cfg(feature = "conform-trace")]
-                let conform_pre = self.conform_pre(idx);
+            let upgrade = prim.needs_exclusive() && state == LineState::Exclusive;
+            let pre = upgrade.then(|| self.probe_snapshot(idx, None)).flatten();
+            if upgrade {
                 self.caches[core].set_state(line, LineState::Modified);
-                #[cfg(feature = "conform-trace")]
-                self.conform_push(
-                    idx,
-                    Some(tid),
-                    core,
-                    crate::conform::ConformKind::WriteHit,
-                    conform_pre,
-                );
             }
+            self.probe_emit(idx, Some(tid), core, Transition::Hit { upgrade }, pre);
             self.energy.cache_j += self.cfg.params.energy.l1_nj * 1e-9;
             if spin.is_some() {
                 self.bump_spin_loads(tid);
@@ -217,12 +205,7 @@ impl Engine {
         } else {
             // --- miss: request to the home directory ---
             let excl = prim.needs_exclusive();
-            self.trace(|at| TraceEvent::Miss {
-                at,
-                thread: tid,
-                line,
-                excl,
-            });
+            self.probe_emit(idx, Some(tid), core, Transition::Miss { excl }, None);
             if spin.is_some() {
                 self.bump_spin_loads(tid);
             } else {
@@ -237,7 +220,7 @@ impl Engine {
             let req = Request {
                 thread: tid,
                 core,
-                excl: prim.needs_exclusive(),
+                excl,
                 issued_at: self.now,
             };
             self.schedule(arrive, Ev::DirArrival(idx, req));

@@ -38,14 +38,15 @@
 
 use crate::cache::{LineId, LineState, SetAssocCache, WordAddr};
 use crate::config::{RunLength, SimConfig};
+use crate::conform::DirSnapshot;
 use crate::directory::{Directory, Request};
 use crate::equeue::CalendarQueue;
 use crate::error::{LineDiag, SimError, StuckThread};
 use crate::faults::{FabricState, FaultState};
+use crate::probe::{NoProbe, Probe, ProbeEvent, Transition};
 use crate::program::{Program, SpinPred, Step, NUM_REGS};
 use crate::protocol::CoherenceKind;
 use crate::report::{EnergyBreakdown, RunLengthSummary, SimReport, ThreadReport};
-use crate::trace::{Trace, TraceEvent};
 use bounce_atomics::{OpOutcome, Primitive};
 use bounce_topo::{HwThreadId, MachineTopology, TileId};
 use rand::rngs::StdRng;
@@ -131,7 +132,11 @@ struct ThreadSt {
 }
 
 /// The simulation engine. Construct with [`Engine::new`], add threads
-/// with [`Engine::add_thread`], then [`Engine::run`].
+/// with [`Engine::add_thread`], then [`Engine::try_run`].
+///
+/// `P` is the engine's [`Probe`]: [`NoProbe`] by default, or a
+/// [`Trace`](crate::Trace) / [`ConformRecorder`](crate::ConformRecorder)
+/// attached with [`Engine::with_probe`].
 ///
 /// ```
 /// use bounce_sim::{Engine, SimConfig, SimParams};
@@ -146,13 +151,13 @@ struct ThreadSt {
 /// // Two threads on different cores hammer the same line with FAA.
 /// eng.add_thread(HwThreadId(0), builders::op_loop(Primitive::Faa, line, 0));
 /// eng.add_thread(HwThreadId(2), builders::op_loop(Primitive::Faa, line, 0));
-/// let report = eng.run();
+/// let report = eng.try_run().expect("no watchdog trip");
 /// assert!(report.total_ops() > 0);
 /// assert!(report.total_transfers() > 0, "the line bounced");
 /// // Value accuracy: the word holds every applied increment.
 /// assert!(eng.word(line) >= report.total_ops());
 /// ```
-pub struct Engine {
+pub struct Engine<P: Probe = NoProbe> {
     topo: MachineTopology,
     cfg: SimConfig,
     now: u64,
@@ -226,17 +231,29 @@ pub struct Engine {
     retry_storm: Option<Box<SimError>>,
     energy: EnergyBreakdown,
     queue_depth: crate::report::LatencyStats,
-    trace: Option<Trace>,
-    /// Conformance trace recorder (verification pass 5). Only exists
-    /// under the `conform-trace` feature; `None` keeps every hook to a
-    /// single cold-path branch and simulation state untouched.
-    #[cfg(feature = "conform-trace")]
-    conform: Option<crate::conform::ConformRecorder>,
+    /// Observer of every coherence transition (see [`crate::probe`]).
+    probe: P,
 }
 
-impl Engine {
-    /// Build an engine for a machine.
+impl Engine<NoProbe> {
+    /// Build a probe-free engine for a machine.
     pub fn new(topo: &MachineTopology, cfg: SimConfig) -> Self {
+        Engine::with_probe(topo, cfg, NoProbe)
+    }
+
+    /// Run to completion and report, panicking if the forward-progress
+    /// watchdog fires.
+    #[deprecated(note = "use `try_run`, which returns the watchdog's error instead of panicking")]
+    pub fn run(&mut self) -> SimReport {
+        self.try_run()
+            .unwrap_or_else(|e| panic!("simulation failed: {e}"))
+    }
+}
+
+impl<P: Probe> Engine<P> {
+    /// Build an engine for a machine that reports every coherence
+    /// transition to `probe`.
+    pub fn with_probe(topo: &MachineTopology, cfg: SimConfig, probe: P) -> Self {
         cfg.params
             .validate()
             .unwrap_or_else(|e| panic!("invalid simulation parameters: {e}"));
@@ -315,125 +332,64 @@ impl Engine {
             retry_storm: None,
             energy: EnergyBreakdown::default(),
             queue_depth: crate::report::LatencyStats::default(),
-            trace: None,
-            #[cfg(feature = "conform-trace")]
-            conform: None,
+            probe,
             cfg,
         }
     }
 
-    /// Enable event tracing into a bounded ring buffer.
-    pub fn set_trace(&mut self, trace: Trace) {
-        self.trace = Some(trace);
+    /// Detach the probe (typically after the run) to read what it saw.
+    pub fn into_probe(self) -> P {
+        self.probe
     }
 
-    /// Take the trace out (typically after `run`).
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.trace.take()
-    }
-
+    /// Snapshot of line `idx` for a probe that asked for snapshots, else
+    /// `None`. `patch` substitutes one core's cache state: an eviction's
+    /// victim has left the cache before the eviction is observable.
     #[inline]
-    fn trace(&mut self, make: impl FnOnce(u64) -> TraceEvent) {
-        if let Some(t) = self.trace.as_mut() {
-            let ev = make(self.now);
-            t.record(ev);
-        }
-    }
-
-    /// Attach a conformance trace recorder (verification pass 5). Every
-    /// coherence transition of every line is recorded until
-    /// [`Engine::take_conform_recorder`] detaches it.
-    #[cfg(feature = "conform-trace")]
-    pub fn set_conform_recorder(&mut self, rec: crate::conform::ConformRecorder) {
-        self.conform = Some(rec);
-    }
-
-    /// Detach the conformance recorder (typically after `run`).
-    #[cfg(feature = "conform-trace")]
-    pub fn take_conform_recorder(&mut self) -> Option<crate::conform::ConformRecorder> {
-        self.conform.take()
-    }
-
-    /// Concrete snapshot of line `idx` for the conformance trace. The
-    /// optional `patch` substitutes a cache state for one core — used
-    /// for the eviction pre-snapshot, where the victim has already left
-    /// the cache by the time the eviction is observable.
-    #[cfg(feature = "conform-trace")]
-    fn conform_snapshot(
-        &self,
-        idx: u32,
-        patch: Option<(usize, LineState)>,
-    ) -> crate::conform::DirSnapshot {
-        let rec = self.conform.as_ref().expect("recorder attached");
+    fn probe_snapshot(&self, idx: u32, patch: Option<(usize, LineState)>) -> Option<DirSnapshot> {
+        let cores = self.probe.snapshot_cores()?;
         let e = self.dir.get_at(idx);
         let line = self.dir.line_at(idx);
-        let caches = rec
-            .tracked
+        let caches = cores
             .iter()
             .map(|&c| match patch {
                 Some((pc, st)) if pc == c as usize => st,
                 _ => self.caches[c as usize].state(line),
             })
             .collect();
-        crate::conform::DirSnapshot {
+        Some(DirSnapshot {
             owner: e.owner.map(|o| o as u32),
             sharers: e.sharers.iter().map(|&s| s as u32).collect(),
             forward: e.forward.map(|f| f as u32),
             caches,
-        }
+        })
     }
 
-    /// Pre-transition snapshot of line `idx`, or `None` when no recorder
-    /// is attached (so instrumentation sites pay one branch and nothing
-    /// else).
-    #[cfg(feature = "conform-trace")]
-    pub(super) fn conform_pre(&self, idx: u32) -> Option<crate::conform::DirSnapshot> {
-        self.conform
-            .as_ref()
-            .map(|_| self.conform_snapshot(idx, None))
-    }
-
-    /// Like [`Engine::conform_pre`] with a cache-state patch for one
-    /// core (see [`Engine::conform_snapshot`]).
-    #[cfg(feature = "conform-trace")]
-    pub(super) fn conform_pre_patched(
-        &self,
-        idx: u32,
-        core: usize,
-        state: LineState,
-    ) -> Option<crate::conform::DirSnapshot> {
-        self.conform
-            .as_ref()
-            .map(|_| self.conform_snapshot(idx, Some((core, state))))
-    }
-
-    /// Record one conformance event: `pre` was captured by
-    /// [`Engine::conform_pre`] before the transition, the post snapshot
-    /// is taken now. No-op when `pre` is `None` (recorder detached).
-    #[cfg(feature = "conform-trace")]
-    pub(super) fn conform_push(
+    /// Report one transition on line `idx` to the probe. `pre` is the
+    /// [`Engine::probe_snapshot`] taken before the transition; the post
+    /// snapshot is taken now.
+    #[inline]
+    fn probe_emit(
         &mut self,
         idx: u32,
         thread: Option<usize>,
         core: usize,
-        kind: crate::conform::ConformKind,
-        pre: Option<crate::conform::DirSnapshot>,
+        kind: Transition,
+        pre: Option<DirSnapshot>,
     ) {
-        let Some(pre) = pre else { return };
-        let post = self.conform_snapshot(idx, None);
-        let ev = crate::conform::ConformEvent {
+        if !P::ENABLED {
+            return;
+        }
+        let ev = ProbeEvent {
             at: self.now,
             line: self.dir.line_at(idx),
-            core: core as u32,
-            thread: thread.map(|t| t as u32),
-            pc: thread.map(|t| self.threads[t].pc as u32),
+            core,
+            thread,
+            pc: thread.map(|t| self.threads[t].pc),
             kind,
-            pre,
-            post,
+            snapshots: pre.and_then(|pre| Some((pre, self.probe_snapshot(idx, None)?))),
         };
-        if let Some(r) = self.conform.as_mut() {
-            r.record(ev);
-        }
+        self.probe.observe(ev);
     }
 
     /// Pin a simulated thread running `program` to hardware thread `hw`.
@@ -589,20 +545,11 @@ impl Engine {
     }
 
     /// Run to completion (no runnable events, or simulated time past the
-    /// configured duration) and report. The engine remains inspectable
-    /// afterwards ([`Engine::word`], for conservation checks); running a
-    /// finished engine again returns an empty report.
-    ///
-    /// # Panics
-    /// Panics if the forward-progress watchdog fires (see
-    /// [`Engine::try_run`] for the non-panicking form).
-    pub fn run(&mut self) -> SimReport {
-        self.try_run()
-            .unwrap_or_else(|e| panic!("simulation failed: {e}"))
-    }
-
-    /// Run to completion under the forward-progress watchdog
-    /// ([`SimConfig::watchdog`](crate::config::Watchdog)).
+    /// configured duration) under the forward-progress watchdog
+    /// ([`SimConfig::watchdog`](crate::config::Watchdog)) and report.
+    /// The engine remains inspectable afterwards ([`Engine::word`], for
+    /// conservation checks); running a finished engine again returns an
+    /// empty report.
     ///
     /// Returns [`SimError::EventBudgetExceeded`] if the run processes
     /// more events than its budget (an event storm that never advances
@@ -830,19 +777,4 @@ impl Engine {
             retrying,
         }
     }
-}
-
-/// Convenience: run `n` copies of the same program on the first `n`
-/// hardware threads of a placement order.
-pub fn run_uniform(
-    topo: &MachineTopology,
-    cfg: SimConfig,
-    hw_threads: &[HwThreadId],
-    program: &Program,
-) -> SimReport {
-    let mut eng = Engine::new(topo, cfg);
-    for &hw in hw_threads {
-        eng.add_thread(hw, program.clone());
-    }
-    eng.run()
 }

@@ -13,36 +13,26 @@
 use super::{Engine, Ev};
 use crate::cache::{LineId, LineState};
 use crate::directory::Request;
+use crate::probe::{Probe, Transition};
 use crate::protocol::{DataSource, KindDispatch};
-use crate::trace::TraceEvent;
-use bounce_topo::TileId;
+use bounce_topo::{Domain, TileId};
 
-impl Engine {
+impl<P: Probe> Engine<P> {
     pub(super) fn dir_arrival(&mut self, idx: u32, req: Request) {
         self.energy.directory_j += self.cfg.params.energy.dir_nj * 1e-9;
         // A re-arrival after a NACK is not a new abstract request: it
         // was recorded as queued on its first arrival and has stayed
         // queued (absorbing NACKs) ever since.
-        #[cfg(feature = "conform-trace")]
         let first_arrival = self.retry_count.get(req.thread).is_none_or(|&c| c == 0);
         if self.fabric.is_some() && !self.fabric_admit(idx, &req) {
             return;
         }
-        #[cfg(feature = "conform-trace")]
-        let pre = if first_arrival {
-            self.conform_pre(idx)
-        } else {
-            None
-        };
+        let pre = self.probe_snapshot(idx, None);
         self.dir.entry_at(idx).queue.push_back(req);
-        #[cfg(feature = "conform-trace")]
-        self.conform_push(
-            idx,
-            Some(req.thread),
-            req.core,
-            crate::conform::ConformKind::Queue { excl: req.excl },
-            pre,
-        );
+        if first_arrival {
+            let queue = Transition::Queue { excl: req.excl };
+            self.probe_emit(idx, Some(req.thread), req.core, queue, pre);
+        }
         self.pump(idx);
     }
 
@@ -69,36 +59,22 @@ impl Engine {
         // First refusal of a fresh transaction: abstractly the request
         // joins the queue *and then* gets NACKed — record the queue step
         // before the NACK so the trace refines the model's order.
-        #[cfg(feature = "conform-trace")]
         if self.retry_count[tid] == 0 {
-            let pre = self.conform_pre(idx);
-            self.conform_push(
-                idx,
-                Some(tid),
-                req.core,
-                crate::conform::ConformKind::Queue { excl: req.excl },
-                pre,
-            );
+            let pre = self.probe_snapshot(idx, None);
+            let queue = Transition::Queue { excl: req.excl };
+            self.probe_emit(idx, Some(tid), req.core, queue, pre);
         }
         if let Some(fb) = self.fabric.as_mut() {
             fb.nacks += 1;
         }
         self.retry_count[tid] += 1;
         let attempt = self.retry_count[tid];
-        #[cfg(feature = "conform-trace")]
-        {
-            let pre = self.conform_pre(idx);
-            self.conform_push(
-                idx,
-                Some(tid),
-                req.core,
-                crate::conform::ConformKind::Nack {
-                    excl: req.excl,
-                    attempt,
-                },
-                pre,
-            );
-        }
+        let pre = self.probe_snapshot(idx, None);
+        let nack = Transition::Nack {
+            excl: req.excl,
+            attempt,
+        };
+        self.probe_emit(idx, Some(tid), req.core, nack, pre);
         let policy = self.cfg.params.retry;
         if attempt > policy.max_retries {
             self.retry_storm = Some(Box::new(self.retry_storm_error(idx, pending)));
@@ -110,13 +86,6 @@ impl Engine {
         if self.now >= self.cfg.warmup_cycles {
             self.threads[tid].report.retries += 1;
         }
-        let line = self.dir.line_at(idx);
-        self.trace(|at| TraceEvent::Nack {
-            at,
-            thread: tid,
-            line,
-            attempt,
-        });
         // The NACK reply travels home→requester, then the re-sent
         // request travels requester→home after the backoff wait; both
         // legs pay wire latency and hop energy like any other message.
@@ -165,13 +134,6 @@ impl Engine {
                 }
                 (req, queue_len)
             };
-            let line = self.dir.line_at(idx);
-            self.trace(|at| TraceEvent::ServiceStart {
-                at,
-                thread: req.thread,
-                line,
-                queue_len,
-            });
             if self.now >= self.cfg.warmup_cycles {
                 self.queue_depth.record(queue_len as u64);
             }
@@ -194,17 +156,14 @@ impl Engine {
             // free-riding hits for the whole transfer and makes
             // saturated contended throughput ≈ 1 op per ownership
             // transfer, as the paper's model assumes.)
-            #[cfg(feature = "conform-trace")]
-            let conform_pre = self.conform_pre(idx);
-            self.depart_line(idx, &req);
-            #[cfg(feature = "conform-trace")]
-            self.conform_push(
-                idx,
-                Some(req.thread),
-                req.core,
-                crate::conform::ConformKind::ServiceStart { excl: req.excl },
-                conform_pre,
-            );
+            let pre = self.probe_snapshot(idx, None);
+            let bounce = self.depart_line(idx, &req);
+            let start = Transition::ServiceStart {
+                excl: req.excl,
+                queue_len,
+                bounce,
+            };
+            self.probe_emit(idx, Some(req.thread), req.core, start, pre);
             let t = self.now + latency;
             self.schedule(t, Ev::ServiceDone(idx, req));
             if req.excl {
@@ -216,13 +175,14 @@ impl Engine {
     }
 
     /// Remove the line from the caches that lose it to `req`, recording
-    /// bounce and invalidation statistics. On a write, every other
-    /// holder is invalidated (universal to the MESI family); on a read,
-    /// the protocol decides how the current owner demotes and whether it
-    /// keeps directory ownership (MOESI's Owned state does, MESI(F)
-    /// dissolves it into the sharer set).
-    fn depart_line(&mut self, idx: u32, req: &Request) {
+    /// bounce and invalidation statistics, and return the bounce. On a
+    /// write, every other holder is invalidated (universal to the MESI
+    /// family); on a read, the protocol decides how the current owner
+    /// demotes and whether it keeps directory ownership (MOESI's Owned
+    /// state does, MESI(F) dissolves it into the sharer set).
+    fn depart_line(&mut self, idx: u32, req: &Request) -> Option<(usize, Domain)> {
         let tid = req.thread;
+        let mut bounce = None;
         let line = self.dir.line_at(idx);
         let (owner, sharers): (Option<usize>, Vec<usize>) = {
             let e = self.dir.get_at(idx);
@@ -236,13 +196,7 @@ impl Engine {
                         .topo
                         .comm_domain(self.threads[tid].hw, self.topo.cores[o].threads[0]);
                     self.transfers_by_domain[d.index()] += 1;
-                    self.trace(|at| TraceEvent::Bounce {
-                        at,
-                        from_core: o,
-                        to_thread: tid,
-                        line,
-                        domain: d,
-                    });
+                    bounce = Some((o, d));
                     self.caches[o].invalidate(line);
                     self.invalidations += 1;
                 }
@@ -275,6 +229,7 @@ impl Engine {
                 }
             }
         }
+        bounce
     }
 
     /// Assemble the service latency of a request from the current line
@@ -378,8 +333,7 @@ impl Engine {
             self.bank_pending[bank] = self.bank_pending[bank].saturating_sub(1);
         }
         let tid = req.thread;
-        #[cfg(feature = "conform-trace")]
-        let conform_pre = self.conform_pre(idx);
+        let pre = self.probe_snapshot(idx, None);
         // --- arrival transitions (departures already ran at service
         //     start, see `depart_line`) ---
         if req.excl {
@@ -409,14 +363,8 @@ impl Engine {
             }
             self.install(req.core, line, state);
         }
-        #[cfg(feature = "conform-trace")]
-        self.conform_push(
-            idx,
-            Some(tid),
-            req.core,
-            crate::conform::ConformKind::ServiceDone { excl: req.excl },
-            conform_pre,
-        );
+        let done = Transition::ServiceDone { excl: req.excl };
+        self.probe_emit(idx, Some(tid), req.core, done, pre);
         // Each transaction must leave the directory entry in a state the
         // protocol's invariants accept (owner/sharer/forward exclusivity
         // rules differ per protocol). Debug builds check at every
@@ -449,11 +397,8 @@ impl Engine {
             // The victim left the cache inside `install` above, so the
             // eviction pre-snapshot patches its state back in. A victim
             // was necessarily installed once, hence interned.
-            #[cfg(feature = "conform-trace")]
-            let conform_victim = self
-                .dir
-                .lookup(evicted)
-                .map(|vidx| (vidx, self.conform_pre_patched(vidx, core, evicted_state)));
+            let victim = P::ENABLED.then(|| self.dir.lookup(evicted)).flatten();
+            let pre = victim.and_then(|v| self.probe_snapshot(v, Some((core, evicted_state))));
             match evicted_state {
                 LineState::Modified | LineState::Owned => {
                     // Dirty writeback to memory (an Owned copy still owes
@@ -467,17 +412,11 @@ impl Engine {
                 LineState::Shared | LineState::Forward => self.dir.evict_sharer(evicted, core),
                 LineState::Invalid => {}
             }
-            #[cfg(feature = "conform-trace")]
-            if let Some((vidx, pre)) = conform_victim {
-                self.conform_push(
-                    vidx,
-                    None,
-                    core,
-                    crate::conform::ConformKind::Evict {
-                        state: evicted_state,
-                    },
-                    pre,
-                );
+            if let Some(v) = victim {
+                let evict = Transition::Evict {
+                    state: evicted_state,
+                };
+                self.probe_emit(v, None, core, evict, pre);
             }
         }
     }

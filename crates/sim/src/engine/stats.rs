@@ -2,9 +2,10 @@
 //! and report assembly.
 
 use super::Engine;
+use crate::probe::Probe;
 use crate::report::{LatencyStats, RunLengthSummary, SimReport, ThreadReport};
 
-impl Engine {
+impl<P: Probe> Engine<P> {
     pub(super) fn finish(&mut self, run: RunLengthSummary) -> SimReport {
         debug_assert!(
             self.dir

@@ -4,6 +4,7 @@
 use super::*;
 use crate::config::{ArbitrationPolicy, SimConfig, SimParams};
 use crate::program::builders;
+use crate::trace::{Trace, TraceEvent};
 use bounce_topo::{presets, Placement};
 fn tiny() -> MachineTopology {
     presets::tiny_test_machine()
@@ -19,12 +20,26 @@ fn addr() -> WordAddr {
     WordAddr::of_line(0x4000)
 }
 
+/// Run one copy of `program` on each of `hw_threads`.
+fn run_uniform(
+    topo: &MachineTopology,
+    cfg: SimConfig,
+    hw_threads: &[HwThreadId],
+    program: &Program,
+) -> SimReport {
+    let mut eng = Engine::new(topo, cfg);
+    for &hw in hw_threads {
+        eng.add_thread(hw, program.clone());
+    }
+    eng.try_run().expect("run completes")
+}
+
 #[test]
 fn single_thread_faa_accumulates() {
     let topo = tiny();
     let mut eng = Engine::new(&topo, cfg(200_000));
     eng.add_thread(HwThreadId(0), builders::op_loop(Primitive::Faa, addr(), 0));
-    let report = eng.run();
+    let report = eng.try_run().expect("run completes");
     let t = &report.threads[0];
     assert!(t.ops > 100, "expected plenty of ops, got {}", t.ops);
     assert_eq!(t.failures, 0);
@@ -45,7 +60,7 @@ fn value_accuracy_faa_total_matches_ops() {
     for hw in Placement::Packed.assign(&topo, 4) {
         eng2.add_thread(hw, builders::op_loop(Primitive::Faa, a, 0));
     }
-    let report = eng2.run();
+    let report = eng2.try_run().expect("run completes");
     // Every completed FAA in the *whole run* added exactly 1; ops in
     // the report only count the window, so total_ops <= word value.
     // (We can't read the word from the consumed engine; this test
@@ -132,7 +147,7 @@ fn smt_siblings_serialise_on_the_shared_l1_line() {
         // hw threads 0 and 1 are SMT siblings on core 0.
         eng.add_thread(HwThreadId(0), builders::op_loop(Primitive::Faa, addr(), 0));
         eng.add_thread(HwThreadId(1), builders::op_loop(Primitive::Faa, addr(), 0));
-        eng.run()
+        eng.try_run().expect("run completes")
     };
     // No coherence transfers: the line never leaves core 0.
     assert_eq!(shared_line.total_transfers(), 0);
@@ -146,7 +161,7 @@ fn smt_siblings_serialise_on_the_shared_l1_line() {
             HwThreadId(2),
             builders::op_loop(Primitive::Faa, WordAddr::of_line(0x7080), 0),
         );
-        eng.run()
+        eng.try_run().expect("run completes")
     };
     // Separate cores on private lines run two full pipelines.
     assert!(
@@ -219,7 +234,7 @@ fn mcs_lock_hands_off_and_stays_fair() {
             builders::mcs_lock_loop(i, tail, flag_base, next_base, 80, 40),
         );
     }
-    let r = eng.run();
+    let r = eng.try_run().expect("run completes");
     // One Swap per acquisition: every thread acquired repeatedly and
     // roughly equally (MCS is FIFO).
     let swap_idx = Primitive::ALL
@@ -260,7 +275,7 @@ fn mcs_single_thread_fast_path() {
             50,
         ),
     );
-    let r = eng.run();
+    let r = eng.try_run().expect("run completes");
     assert!(r.total_ops() > 50);
     assert_eq!(r.total_failures(), 0, "uncontended release CAS never fails");
     let spin: u64 = r.threads.iter().map(|t| t.spin_loads).sum();
@@ -353,12 +368,12 @@ fn low_contention_scales_linearly() {
     };
     let mut one = Engine::new(&topo, cfg(300_000));
     one.add_thread(HwThreadId(0), prog_for(0));
-    let one = one.run();
+    let one = one.try_run().expect("run completes");
     let mut four = Engine::new(&topo, cfg(300_000));
     for (i, hw) in Placement::Packed.assign(&topo, 4).into_iter().enumerate() {
         four.add_thread(hw, prog_for(i));
     }
-    let four = four.run();
+    let four = four.try_run().expect("run completes");
     let r = four.throughput_ops_per_sec() / one.throughput_ops_per_sec();
     assert!(r > 3.0, "private lines should scale ~linearly, got {r:.2}x");
     assert_eq!(four.total_transfers(), 0, "no bounces on private lines");
@@ -395,7 +410,7 @@ fn concurrent_readers_scale_unlike_serialized_writers() {
         for (i, p) in progs.into_iter().enumerate() {
             eng.add_thread(Placement::Packed.assign(&topo, 8)[i], p);
         }
-        eng.run()
+        eng.try_run().expect("run completes")
     };
     let mixed: Vec<Program> = (0..7)
         .map(|i| {
@@ -453,7 +468,7 @@ fn writer_priority_bounds_writer_latency() {
             .unwrap(),
         );
     }
-    let r = eng.run();
+    let r = eng.try_run().expect("run completes");
     let writer_ops = r.threads[0].ops;
     assert!(
         writer_ops > 200,
@@ -486,7 +501,7 @@ fn link_bandwidth_throttles_crossing_flows_on_mesh() {
                 ),
             );
         }
-        eng.run().total_ops()
+        eng.try_run().expect("run completes").total_ops()
     };
     let free = run(0);
     let capped = run(24);
@@ -504,7 +519,7 @@ fn link_bandwidth_off_by_default_changes_nothing() {
         for hw in Placement::Packed.assign(&topo, 4) {
             eng.add_thread(hw, builders::op_loop(Primitive::Faa, addr(), 0));
         }
-        eng.run().total_ops()
+        eng.try_run().expect("run completes").total_ops()
     };
     let explicit_zero = {
         let mut params = SimParams::e5();
@@ -514,7 +529,7 @@ fn link_bandwidth_off_by_default_changes_nothing() {
         for hw in Placement::Packed.assign(&topo, 4) {
             eng.add_thread(hw, builders::op_loop(Primitive::Faa, addr(), 0));
         }
-        eng.run().total_ops()
+        eng.try_run().expect("run completes").total_ops()
     };
     assert_eq!(base, explicit_zero);
 }
@@ -547,7 +562,7 @@ fn tiny_cache_forces_evictions_and_writebacks() {
     ])
     .unwrap();
     eng.add_thread(HwThreadId(0), prog);
-    let r = eng.run();
+    let r = eng.try_run().expect("run completes");
     assert!(r.total_ops() > 10);
     // Each op misses (the other line evicted it) and each eviction
     // of an M line is a writeback.
@@ -580,7 +595,7 @@ fn halt_step_stops_thread() {
     ])
     .unwrap();
     eng.add_thread(HwThreadId(0), prog);
-    let r = eng.run();
+    let r = eng.try_run().expect("run completes");
     // Exactly one op, then silence (warmup may swallow it from the
     // stats, but the word records it).
     assert_eq!(eng.word(WordAddr::of_line(0x1000)), 1);
@@ -609,7 +624,7 @@ fn home_port_occupancy_caps_striping() {
                 ),
             );
         }
-        eng.run().total_ops()
+        eng.try_run().expect("run completes").total_ops()
     };
     let free = run(0);
     let capped = run(120);
@@ -996,4 +1011,31 @@ fn backoff_survives_occupancy_pressure_where_eager_storms() {
     let rep = patient.expect("backoff must drain the bank");
     assert!(rep.total_ops() > 0);
     assert!(rep.nacks > 0, "the pressure was real");
+}
+
+#[test]
+fn trace_probe_sees_every_bounce() {
+    // With a ring large enough for the whole run, the trace's Bounce
+    // events are exactly the transfers the report counts, per domain.
+    let topo = presets::dual_socket_small();
+    let mut eng = Engine::with_probe(&topo, cfg(40_000), Trace::bounded(1 << 20));
+    for hw in Placement::Scattered.assign(&topo, 4) {
+        eng.add_thread(hw, builders::op_loop(Primitive::Faa, addr(), 0));
+    }
+    let report = eng.try_run().expect("run completes");
+    let trace = eng.into_probe();
+    assert_eq!(trace.dropped(), 0, "the ring holds the whole run");
+    let bounces = trace.bounces();
+    assert_eq!(bounces.len() as u64, report.total_transfers());
+    let mut by_domain = [0u64; 5];
+    for ev in bounces {
+        if let TraceEvent::Bounce { domain, .. } = ev {
+            by_domain[domain.index()] += 1;
+        }
+    }
+    assert_eq!(by_domain, report.transfers_by_domain);
+    assert!(
+        by_domain.iter().filter(|&&c| c > 0).count() > 1,
+        "the scattered threads bounce across domains: {by_domain:?}"
+    );
 }

@@ -47,6 +47,7 @@ pub mod engine;
 pub mod equeue;
 pub mod error;
 pub mod faults;
+pub mod probe;
 pub mod program;
 pub mod protocol;
 pub mod report;
@@ -63,6 +64,7 @@ pub use engine::Engine;
 pub use equeue::CalendarQueue;
 pub use error::{LineDiag, SimError, StuckThread};
 pub use faults::{FabricFaultConfig, FaultConfig};
+pub use probe::{NoProbe, Probe};
 pub use program::{Operand, Program, ProgramError, SpinPred, Step};
 pub use protocol::{CoherenceKind, CoherenceProtocol, DataSource};
 pub use report::{EnergyBreakdown, RunLengthSummary, SimReport, ThreadReport};

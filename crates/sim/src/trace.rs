@@ -1,12 +1,13 @@
 //! Optional event tracing: a bounded ring buffer of coherence events
 //! for debugging workloads and inspecting bounce chains.
 //!
-//! Tracing is off by default (zero overhead beyond a branch); enable it
-//! with [`Trace::bounded`] and pass it to the engine via
-//! `Engine::set_trace`. After a run, the trace can be filtered by line
-//! or thread and rendered as text.
+//! A [`Trace`] is one of the engine's [`Probe`]s: attach it with
+//! `Engine::with_probe(topo, cfg, Trace::bounded(n))` and get it back
+//! with `Engine::into_probe`. After a run, the trace can be filtered by
+//! line or thread and rendered as text.
 
 use crate::cache::LineId;
+use crate::probe::{Probe, ProbeEvent, Transition};
 use bounce_topo::Domain;
 use std::collections::VecDeque;
 
@@ -45,7 +46,8 @@ pub enum TraceEvent {
         queue_len: usize,
     },
     /// The home bank refused a request (fabric fault injection); the
-    /// requester will retry after backoff.
+    /// requester retries after backoff unless this refusal exhausts its
+    /// retry budget.
     Nack {
         /// Simulation time.
         at: u64,
@@ -219,6 +221,49 @@ impl Trace {
             out.push('\n');
         }
         out
+    }
+}
+
+impl Probe for Trace {
+    fn observe(&mut self, ev: ProbeEvent) {
+        let (at, line) = (ev.at, ev.line);
+        let Some(thread) = ev.thread else { return };
+        match ev.kind {
+            Transition::Hit { .. } => self.record(TraceEvent::Hit { at, thread, line }),
+            Transition::Miss { excl } => self.record(TraceEvent::Miss {
+                at,
+                thread,
+                line,
+                excl,
+            }),
+            Transition::Nack { attempt, .. } => self.record(TraceEvent::Nack {
+                at,
+                thread,
+                line,
+                attempt,
+            }),
+            Transition::ServiceStart {
+                queue_len, bounce, ..
+            } => {
+                self.record(TraceEvent::ServiceStart {
+                    at,
+                    thread,
+                    line,
+                    queue_len,
+                });
+                if let Some((from_core, domain)) = bounce {
+                    self.record(TraceEvent::Bounce {
+                        at,
+                        from_core,
+                        to_thread: thread,
+                        line,
+                        domain,
+                    });
+                }
+            }
+            // Queues, completions and evictions have no trace form.
+            _ => {}
+        }
     }
 }
 

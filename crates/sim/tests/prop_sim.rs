@@ -41,7 +41,7 @@ proptest! {
         for hw in Placement::Packed.assign(&topo, n) {
             eng.add_thread(hw, builders::op_loop(Primitive::Faa, addr, 0));
         }
-        let report = eng.run();
+        let report = eng.try_run().expect("run completes");
         let completed = report.total_ops();
         let word = eng.word(addr);
         prop_assert!(word >= completed, "word {word} < completed {completed}");
@@ -62,7 +62,7 @@ proptest! {
         for hw in Placement::Packed.assign(&topo, n) {
             eng.add_thread(hw, builders::cas_increment_loop(addr, window, 0));
         }
-        let report = eng.run();
+        let report = eng.try_run().expect("run completes");
         // Only successful CASes increment; the loop's loads are counted
         // separately by the report.
         let successes = report.total_cond_successes();
@@ -83,7 +83,7 @@ proptest! {
         for hw in Placement::Packed.assign(&topo, n) {
             eng.add_thread(hw, builders::op_loop(Primitive::Tas, addr, 0));
         }
-        let report = eng.run();
+        let report = eng.try_run().expect("run completes");
         if report.total_ops() > 0 {
             prop_assert_eq!(eng.word(addr) & 1, 1);
         }
@@ -102,7 +102,7 @@ proptest! {
             for hw in Placement::Packed.assign(&topo, n) {
                 eng.add_thread(hw, builders::cas_increment_loop(addr, window, 0));
             }
-            let r = eng.run();
+            let r = eng.try_run().expect("run completes");
             (r.total_ops(), r.total_failures(), r.events, eng.word(addr))
         };
         prop_assert_eq!(run(), run());
@@ -120,7 +120,7 @@ proptest! {
         for hw in Placement::Packed.assign(&topo, n) {
             eng.add_thread(hw, builders::op_loop(Primitive::Faa, addr, 0));
         }
-        let r = eng.run();
+        let r = eng.try_run().expect("run completes");
         prop_assert!(
             r.throughput_ops_per_sec() <= bound * 1.05,
             "{} > {}",
@@ -155,7 +155,7 @@ proptest! {
         for hw in Placement::Packed.assign(&topo, n) {
             eng.add_thread(hw, builders::op_loop(Primitive::Faa, addr, 0));
         }
-        let r = eng.run();
+        let r = eng.try_run().expect("run completes");
         prop_assert!(r.queue_depth.count > 0);
         prop_assert!(
             r.queue_depth.max <= n as u64,
@@ -180,7 +180,7 @@ proptest! {
                 zipf_program(Primitive::Faa, base, lines, theta_x10 as f64 / 10.0, 3, i, 32),
             );
         }
-        let report = eng.run();
+        let report = eng.try_run().expect("run completes");
         let completed = report.total_ops();
         let word_sum: u64 = (0..lines)
             .map(|k| eng.word(WordAddr::of_line(0x8000 + 128 * k as u64)))
@@ -198,7 +198,7 @@ proptest! {
         for hw in Placement::Packed.assign(&topo, n) {
             eng.add_thread(hw, builders::op_loop(Primitive::Swap, addr, 0));
         }
-        let r = eng.run();
+        let r = eng.try_run().expect("run completes");
         prop_assert!(r.energy.total_j() > 0.0);
         prop_assert!(r.energy.dynamic_j() >= 0.0);
         prop_assert!(r.energy.static_j > 0.0);

@@ -52,7 +52,7 @@ fn run(protocol: CoherenceKind, programs: Vec<(usize, Program)>) -> Engine {
     for (hw, p) in programs {
         eng.add_thread(HwThreadId(hw), p);
     }
-    let _ = eng.run();
+    let _ = eng.try_run().expect("run completes");
     eng
 }
 
@@ -309,7 +309,7 @@ fn moesi_owned_eviction_writes_back() {
         ]),
     );
     eng.add_thread(HwThreadId(2), delayed_op(3_000, Primitive::Load, 0));
-    let r = eng.run();
+    let r = eng.try_run().expect("run completes");
     assert_eq!(eng.cache_state(0, addr().line), LineState::Invalid);
     assert_eq!(eng.dir_owner(addr().line), None, "owner dropped on evict");
     assert!(

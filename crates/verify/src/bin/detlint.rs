@@ -5,7 +5,7 @@
 //! direct `std::sync::atomic` construction that bypasses the `cell`
 //! shim (and so escapes the schedcheck model checker), and
 //! `crates/sim/src/engine` for coherence-state mutation outside the
-//! conformance-recorder-instrumented transition helpers (which would
+//! probe-instrumented transition helpers (which would
 //! escape the pass-5 refinement trace) — see
 //! [`bounce_verify::detlint`]. Exits nonzero when any finding survives
 //! the waiver comments.
@@ -40,7 +40,7 @@ fn main() {
             .to_path_buf();
         // The crates whose behavior feeds simulation results get the
         // determinism rules; the atomics crate gets the shim rule; the
-        // engine tree additionally gets the recorder-bypass rule.
+        // engine tree additionally gets the probe-bypass rule.
         let sim_roots: Vec<PathBuf> = ["sim", "core", "topo"]
             .iter()
             .map(|c| ws.join(c).join("src"))
@@ -94,7 +94,7 @@ fn main() {
     if findings.is_empty() {
         println!(
             "detlint: {trees} tree(s) clean (no wall-clock, hash-iteration, ambient-RNG, \
-             shim-bypassing atomic or recorder-bypassing mutation)"
+             shim-bypassing atomic or probe-bypassing mutation)"
         );
     } else {
         for f in &findings {

@@ -11,8 +11,8 @@
 //!
 //! The pieces:
 //!
-//! * the engine (built with the `conform-trace` feature) records one
-//!   [`ConformEvent`] per transition with *concrete* pre/post snapshots
+//! * the engine, with a `ConformRecorder` attached as its probe, records
+//!   one [`ConformEvent`] per transition with *concrete* pre/post snapshots
 //!   — see `bounce_sim::conform`;
 //! * [`abstract_snapshot`] is the **abstraction function**: it maps a
 //!   concrete snapshot (raw core ids, directory records, tracked cache
@@ -20,7 +20,7 @@
 //!   map is partial — a line touched by an untracked core has no
 //!   abstract image, and the replayer reports that instead of guessing;
 //! * [`replay_recorder`] replays each line's event stream through the
-//!   model's transition relation ([`Checker::successors`]), maintaining
+//!   model's transition relation (`Checker::successors`), maintaining
 //!   a *frontier* of candidate abstract states. The frontier is needed
 //!   because the model carries ghost state the engine doesn't expose
 //!   (per-copy freshness, memory freshness); all candidates agree on
@@ -42,7 +42,7 @@
 //!
 //! This is *per-run* refinement: it certifies the transitions a given
 //! campaign actually took, not all reachable engine behaviour — which
-//! is why [`coverage`] reports which verified-table rows the campaign
+//! is why `coverage` reports which verified-table rows the campaign
 //! exercised, and CI gates on that coverage not regressing.
 
 mod coverage;

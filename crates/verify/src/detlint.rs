@@ -49,7 +49,7 @@ pub enum Rule {
     /// parameter (the native measurement face) stays legal.
     DirectAtomic,
     /// Mutating directory or line state inside `sim/src/engine/`
-    /// outside the recorder-instrumented transition helpers — such a
+    /// outside the probe-instrumented transition helpers — such a
     /// mutation would be invisible to the conformance trace (pass 5),
     /// silently weakening the refinement proof.
     ConformBypass,
@@ -322,10 +322,10 @@ const CONFORM_MUTATORS: [&str; 6] = [
     "install",
 ];
 
-/// The engine functions that bracket their mutations with conformance
-/// recorder hooks (pre-snapshot before, event push after). Only these
-/// may call a [`CONFORM_MUTATORS`] method; anywhere else the mutation
-/// would be invisible to the refinement trace.
+/// The probe-instrumented engine functions, which bracket their
+/// mutations with probe hooks (pre-snapshot before, event after). Only
+/// these may call a [`CONFORM_MUTATORS`] method; anywhere else the
+/// mutation would be invisible to the refinement trace.
 const CONFORM_INSTRUMENTED: [&str; 7] = [
     "dir_arrival",
     "fabric_admit",
@@ -345,7 +345,7 @@ pub struct Options {
     pub direct_atomic: bool,
     /// Enable [`Rule::ConformBypass`]. Meant for `sim/src/engine/`;
     /// `tests.rs` files are exempted by name (test scaffolding pokes
-    /// state deliberately and never runs under the recorder).
+    /// state deliberately and never runs under the recorder probe).
     pub conform_bypass: bool,
 }
 
@@ -416,7 +416,7 @@ pub fn scan_file_opts(path: &Path, source: &str, opts: Options) -> Vec<Finding> 
         }
     }
 
-    // --- conformance-recorder bypass (sim/src/engine only) ---
+    // --- probe bypass (sim/src/engine only) ---
     if opts.conform_bypass && path.file_name().is_none_or(|f| f != "tests.rs") {
         // Track the enclosing function lexically: the scanner has no
         // AST, but `fn name` lines are unambiguous after stripping.
@@ -455,7 +455,7 @@ pub fn scan_file_opts(path: &Path, source: &str, opts: Options) -> Vec<Finding> 
                         Rule::ConformBypass,
                         format!(
                             "`{t}` mutates coherence state inside `{}`, which is not a \
-                             recorder-instrumented transition helper — the conformance \
+                             probe-instrumented transition helper — the conformance \
                              trace (pass 5) would miss this step",
                             if current_fn.is_empty() {
                                 "<module scope>"
@@ -816,7 +816,7 @@ mod tests {
     #[test]
     fn engine_sources_have_no_conform_bypass() {
         // Mirrors the CI gate: every directory/line-state mutation in
-        // the engine happens inside a recorder-instrumented transition
+        // the engine happens inside a probe-instrumented transition
         // helper, so the conformance trace sees every step.
         let here = Path::new(env!("CARGO_MANIFEST_DIR"));
         let root = here

@@ -31,7 +31,7 @@
 //!    `cargo run -p bounce-verify --bin schedcheck`.
 //! 5. **Conformance** ([`conform`]): trace refinement of the
 //!    production engine against pass 1's verified model — the engine
-//!    (built with `conform-trace`) records every coherence transition
+//!    (with a `ConformRecorder` probe) records every coherence transition
 //!    with concrete pre/post snapshots, an explicit abstraction
 //!    function maps them onto model states, and the replayer checks
 //!    each step is a transition the verified relation permits,

@@ -11,46 +11,49 @@
 //!   traces: a forged directory record, a deleted event, and a
 //!   relabeled event must all surface as refinement violations, or the
 //!   pass could never catch a real recorder bypass;
-//! * **inertness** — attaching the recorder does not perturb the
-//!   simulation: reports and memory are identical with and without it.
-//!   (The compiled-out arm of the same guarantee — byte-identical
-//!   campaign output under `--no-default-features` — lives in CI.)
+//! * **inertness** — attaching a probe (the debug trace or the
+//!   recorder) does not perturb the simulation: reports and memory are
+//!   identical to a probe-free run.
 
 use bounce_atomics::Primitive;
 use bounce_sim::conform::{ConformKind, ConformRecorder};
 use bounce_sim::program::builders;
 use bounce_sim::protocol::protocol_for;
 use bounce_sim::{
-    CoherenceKind, Engine, Program, RunLength, SimConfig, SimParams, SimReport, WordAddr,
+    CoherenceKind, Engine, NoProbe, Probe, Program, RunLength, SimConfig, SimParams, SimReport,
+    Trace, WordAddr,
 };
 use bounce_topo::presets;
 use bounce_verify::conform::{replay_recorder, ConformError};
 use proptest::prelude::*;
 
 /// Run `programs` (one per core, abstract order) on the tiny test
-/// machine under `proto`, returning the report and the captured trace.
-fn run_traced(
+/// machine under `proto` with `probe` attached, returning the report,
+/// the probe and the first word of lines 0..4.
+fn run_probed<P: Probe>(
     proto: CoherenceKind,
     programs: Vec<Program>,
     duration: u64,
-    record: bool,
-) -> (SimReport, Option<ConformRecorder>, Vec<u64>) {
+    probe: P,
+) -> (SimReport, P, Vec<u64>) {
     let topo = presets::tiny_test_machine();
     let mut params = SimParams::for_machine(&topo);
     params.protocol = proto;
     params.run_length = RunLength::Fixed { cycles: 0 };
     let cfg = SimConfig::new(params, duration);
-    let n = programs.len();
-    let mut eng = Engine::new(&topo, cfg);
+    let mut eng = Engine::with_probe(&topo, cfg, probe);
     for (i, p) in programs.into_iter().enumerate() {
         eng.add_thread(topo.cores[i].threads[0], p);
     }
-    if record {
-        eng.set_conform_recorder(ConformRecorder::new((0..n as u32).collect()));
-    }
     let report = eng.try_run().expect("simulation completes");
     let words = (0..4u64).map(|k| eng.word(WordAddr::of_line(k))).collect();
-    (report, eng.take_conform_recorder(), words)
+    (report, eng.into_probe(), words)
+}
+
+/// The conformance trace of `programs` under `proto`.
+fn run_traced(proto: CoherenceKind, programs: Vec<Program>, duration: u64) -> ConformRecorder {
+    let rec = ConformRecorder::new((0..programs.len() as u32).collect());
+    run_probed(proto, programs, duration, rec).1
 }
 
 fn program_for(choice: u8, work: u64) -> Program {
@@ -84,8 +87,7 @@ proptest! {
         let programs: Vec<Program> = (0..n)
             .map(|i| program_for(choices[i], works[i]))
             .collect();
-        let (_, rec, _) = run_traced(proto, programs, 15_000, true);
-        let rec = rec.expect("recorder attached");
+        let rec = run_traced(proto, programs, 15_000);
         let outcome = replay_recorder(protocol_for(proto), &rec);
         prop_assert!(
             outcome.is_ok(),
@@ -103,8 +105,7 @@ fn captured_trace(proto: CoherenceKind) -> ConformRecorder {
         builders::op_loop(Primitive::Faa, a, 45),
         builders::op_loop(Primitive::Load, a, 25),
     ];
-    let (_, rec, _) = run_traced(proto, programs, 10_000, true);
-    let rec = rec.expect("recorder attached");
+    let rec = run_traced(proto, programs, 10_000);
     assert!(rec.events.len() > 20, "trace is non-trivial");
     rec
 }
@@ -198,9 +199,9 @@ fn config_errors_are_reported() {
 
 #[test]
 fn recorder_is_inert() {
-    // The same scenario with and without the recorder attached must
-    // produce the same simulation: identical report and memory. This is
-    // the compiled-in-but-disabled arm of the inertness guarantee.
+    // The same scenario under every probe must produce the same
+    // simulation: identical report and memory. `NoProbe` has no hooks;
+    // an attached probe only reads engine state.
     let a = WordAddr::of_line(0);
     let mk = || {
         vec![
@@ -209,13 +210,21 @@ fn recorder_is_inert() {
             builders::op_loop(Primitive::Load, a, 15),
         ]
     };
-    let (with, rec, words_with) = run_traced(CoherenceKind::Mesif, mk(), 20_000, true);
-    let (without, none, words_without) = run_traced(CoherenceKind::Mesif, mk(), 20_000, false);
-    assert!(rec.is_some_and(|r| !r.events.is_empty()) && none.is_none());
-    assert_eq!(words_with, words_without, "memory identical");
-    assert_eq!(
-        format!("{with:?}"),
-        format!("{without:?}"),
-        "reports identical"
-    );
+    let proto = CoherenceKind::Mesif;
+    let (bare, NoProbe, words) = run_probed(proto, mk(), 20_000, NoProbe);
+    let (traced, trace, words_traced) = run_probed(proto, mk(), 20_000, Trace::bounded(1 << 16));
+    let rec = ConformRecorder::new(vec![0, 1, 2]);
+    let (recorded, rec, words_recorded) = run_probed(proto, mk(), 20_000, rec);
+    assert!(!trace.is_empty() && !rec.events.is_empty());
+    for (probe, report, w) in [
+        ("trace", traced, words_traced),
+        ("recorder", recorded, words_recorded),
+    ] {
+        assert_eq!(w, words, "{probe}: memory identical");
+        assert_eq!(
+            format!("{report:?}"),
+            format!("{bare:?}"),
+            "{probe}: reports identical"
+        );
+    }
 }

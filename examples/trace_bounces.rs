@@ -16,16 +16,16 @@ fn main() {
     let topo = presets::dual_socket_small();
     let mut params = SimParams::e5();
     params.home_policy = bounce::sim::HomePolicy::Fixed(0);
-    let mut eng = Engine::new(&topo, SimConfig::new(params, 40_000));
-    eng.set_trace(Trace::bounded(256));
+    let cfg = SimConfig::new(params, 40_000);
+    let mut eng = Engine::with_probe(&topo, cfg, Trace::bounded(256));
 
     let line = WordAddr::of_line(0x4000);
     // Four threads scattered over both sockets.
     for hw in Placement::Scattered.assign(&topo, 4) {
         eng.add_thread(hw, builders::op_loop(Primitive::Faa, line, 0));
     }
-    let report = eng.run();
-    let trace = eng.take_trace().expect("trace was installed");
+    let report = eng.try_run().expect("run completes");
+    let trace = eng.into_probe();
 
     println!("machine: {}", topo.name);
     println!(

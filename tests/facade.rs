@@ -39,6 +39,6 @@ fn workload_to_sim_through_facade() {
     for (i, p) in w.sim_programs(2).into_iter().enumerate() {
         eng.add_thread(HwThreadId(i * 2), p);
     }
-    let report = eng.run();
+    let report = eng.try_run().expect("run completes");
     assert!(report.total_ops() > 0);
 }
