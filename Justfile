@@ -29,11 +29,11 @@ verify-static:
 # jobs=0 means one worker per host core; jobs=1 is the serial baseline.
 # Output is byte-identical at every job count.
 repro jobs="0":
-    cargo run --release -p bounce-bench --bin repro -- all --jobs {{jobs}} --timings --out results/ --plots
+    cargo run --release -p bounce-bench --bin repro -- all --jobs {{jobs}} --out results/ --plots
 
 # Quick repro (CI-speed sweeps).
 repro-quick jobs="0":
-    cargo run --release -p bounce-bench --bin repro -- all --quick --jobs {{jobs}} --timings --out results-quick/
+    cargo run --release -p bounce-bench --bin repro -- all --quick --jobs {{jobs}} --out results-quick/
 
 # All criterion benches.
 bench:

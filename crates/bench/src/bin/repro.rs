@@ -4,7 +4,7 @@
 //! ```text
 //! repro list                      # show experiment ids
 //! repro all [--quick] [--out D]  # run everything, write TSVs + stdout
-//! repro all --jobs 4 --timings   # parallel run with per-experiment times
+//! repro all --jobs 4             # parallel run
 //! repro all --out D --resume     # skip experiments already completed in D
 //! repro all --filter fig1,e14    # run a subset of the campaign
 //! repro fig1 --machine knl       # one experiment, one machine
@@ -30,10 +30,18 @@
 //! `--jobs N` fans independent simulation points across `N` host
 //! threads (default: all cores; `--jobs 1` is the serial baseline).
 //! Results are collected in sweep order, so the output is byte-identical
-//! at every job count. `repro all --timings` also writes
-//! `BENCH_repro.json` (in the invocation directory) with the
-//! wall-clock, total simulated events and events/sec for the run, keyed
-//! by run-length mode.
+//! at every job count. The binary only drives the campaign; its
+//! wall-clock, event rate and per-layer costs are measured by the
+//! `perfbench` crate (see `perfbench/README.md`).
+//!
+//! # Experiment ids
+//!
+//! [`experiments::experiment_specs`] is the one list of experiments:
+//! `repro list`, `repro <id>`, `--filter` and every error message
+//! derive their ids from it. A spec id is either machine-independent
+//! (`table1`) or an experiment id with a machine suffix (`fig1-e5`).
+//! `repro <id>` runs the specs that `--filter <id>` would select;
+//! `--machine m` narrows that to `<id>-m`.
 //!
 //! # Run length
 //!
@@ -74,7 +82,6 @@ struct Args {
     exact: bool,
     markdown: bool,
     plots: bool,
-    timings: bool,
     resume: bool,
     jobs: usize,
     out: Option<PathBuf>,
@@ -115,7 +122,6 @@ fn parse_args() -> Result<Args, String> {
         exact: false,
         markdown: false,
         plots: false,
-        timings: false,
         resume: false,
         jobs: 0,
         out: None,
@@ -136,7 +142,6 @@ fn parse_args() -> Result<Args, String> {
             "--exact" => args.exact = true,
             "--markdown" => args.markdown = true,
             "--plots" => args.plots = true,
-            "--timings" => args.timings = true,
             "--resume" => args.resume = true,
             "--bad-ir-selftest" => args.bad_ir_selftest = true,
             "--jobs" | "-j" => {
@@ -244,64 +249,70 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-const EXPERIMENT_IDS: [&str; 22] = [
-    "table1",
-    "table2",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "e13",
-    "e14",
-    "e15",
-    "ablations",
-    "sensitivity",
-    "latency-hist",
-];
-
-fn run_one(id: &str, ctx: ExpCtx, machine: Machine) -> Option<experiments::ExpResult> {
-    Some(match id {
-        "table1" => Ok(experiments::table1()),
-        "table2" => experiments::table2(ctx),
-        "fig1" => experiments::fig1(ctx, machine),
-        "fig2" => experiments::fig2(ctx, machine),
-        "fig3" => experiments::fig3(ctx, machine),
-        "fig4" => experiments::fig4(ctx, machine),
-        "fig5" => experiments::fig5(ctx, machine),
-        "fig6" => experiments::fig6(ctx, machine),
-        "fig7" => experiments::fig7(ctx, machine),
-        "fig8" => experiments::fig8(ctx, machine),
-        "fig9" => experiments::fig9(ctx, machine),
-        "fig10" => experiments::fig10(ctx, machine),
-        "fig11" => experiments::fig11(ctx, machine),
-        "fig12" => experiments::fig12(ctx, machine),
-        "fig13" => experiments::fig13(ctx, machine),
-        "fig14" => experiments::fig14(ctx, machine),
-        "e13" => experiments::protocol_ablation(ctx, machine),
-        "e14" => experiments::fault_injection(ctx, machine),
-        "e15" => experiments::degraded_fabric(ctx, machine),
-        "ablations" => experiments::ablations(ctx, machine),
-        "sensitivity" => experiments::sensitivity(ctx, machine),
-        "latency-hist" => experiments::latency_hist(ctx, machine),
-        _ => return None,
-    })
-}
-
 /// Whether a `--filter` token selects the (possibly machine-suffixed)
 /// experiment id: `fig1` selects both `fig1-e5` and `fig1-knl`;
 /// `fig1-e5` selects just that one.
 fn filter_matches(token: &str, id: &str) -> bool {
     token == id || id.strip_prefix(token).is_some_and(|r| r.starts_with('-'))
+}
+
+/// The registry's experiment ids in order: every spec id with its
+/// machine suffix stripped, each once.
+fn experiment_ids(ctx: ExpCtx) -> Vec<String> {
+    let mut ids: Vec<String> = Vec::new();
+    for (sid, _) in experiments::experiment_specs(ctx) {
+        let id = Machine::ALL
+            .iter()
+            .find_map(|m| sid.strip_suffix(m.label())?.strip_suffix('-'))
+            .unwrap_or(&sid);
+        if !ids.iter().any(|known| known == id) {
+            ids.push(id.to_string());
+        }
+    }
+    ids
+}
+
+/// `repro <id> [--machine m]`: run the specs the filter token `id` (or
+/// `id-m`) selects, plus the spec named exactly `id` (a
+/// machine-independent table keeps running under `--machine`), in
+/// registry order. Stops at the first failure.
+fn run_experiment(args: &Args, ctx: ExpCtx, id: &str) -> ExitCode {
+    let token = match args.machine {
+        Some(m) => format!("{id}-{}", m.label()),
+        None => id.to_string(),
+    };
+    let specs: Vec<_> = experiments::experiment_specs(ctx)
+        .into_iter()
+        .filter(|(sid, _)| sid == id || filter_matches(&token, sid))
+        .collect();
+    if specs.is_empty() {
+        eprintln!(
+            "unknown experiment '{id}'; known: {}",
+            experiment_ids(ctx).join(", ")
+        );
+        return ExitCode::FAILURE;
+    }
+    for (sid, thunk) in &specs {
+        let table = match experiments::run_guarded(sid, thunk) {
+            Ok(t) => t,
+            Err(e) => {
+                eprintln!("error: {sid}: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        if let Some(dir) = &args.out {
+            if let Err(e) = write_table_outputs(dir, sid, &table, args.plots) {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+        if args.markdown {
+            print!("{}", table.to_markdown());
+        } else {
+            println!("{}", table.to_tsv());
+        }
+    }
+    ExitCode::SUCCESS
 }
 
 /// What happened to one experiment of a campaign.
@@ -339,7 +350,7 @@ fn run_all(args: &Args, ctx: ExpCtx) -> ExitCode {
         {
             eprintln!(
                 "error: --filter '{bad}' matches no experiment; known: {}",
-                EXPERIMENT_IDS.join(", ")
+                experiment_ids(ctx).join(", ")
             );
             return ExitCode::FAILURE;
         }
@@ -394,15 +405,12 @@ fn run_all(args: &Args, ctx: ExpCtx) -> ExitCode {
         })
         .collect();
 
-    bounce_sim::counters::reset_events();
-    let t0 = std::time::Instant::now();
-    let outcomes: Vec<(Outcome, std::time::Duration)> = bounce_harness::par_run(specs.len(), |i| {
+    let outcomes: Vec<Outcome> = bounce_harness::par_run(specs.len(), |i| {
         let (id, thunk) = &specs[i];
-        let t0 = std::time::Instant::now();
         if cached[i] {
-            return (Outcome::Cached, t0.elapsed());
+            return Outcome::Cached;
         }
-        let outcome = match experiments::run_guarded(id, thunk) {
+        match experiments::run_guarded(id, thunk) {
             Err(e) => Outcome::Failed(e.to_string()),
             Ok(table) => match (&manifest, &args.out) {
                 (Some(m), Some(dir)) => {
@@ -421,89 +429,15 @@ fn run_all(args: &Args, ctx: ExpCtx) -> ExitCode {
                 }
                 _ => Outcome::Fresh(table),
             },
-        };
-        (outcome, t0.elapsed())
+        }
     });
-    let wall = t0.elapsed();
-    let events = bounce_sim::counters::total_events();
-
-    let tally = bounce_sim::counters::run_tally();
-
-    if args.timings {
-        eprintln!("--- timings ({} jobs) ---", bounce_harness::jobs());
-        for ((id, _), (outcome, d)) in specs.iter().zip(&outcomes) {
-            match outcome {
-                Outcome::Cached => eprintln!("{id:<20}   cached"),
-                _ => eprintln!("{id:<20} {:>8.2}s", d.as_secs_f64()),
-            }
-        }
-        eprintln!(
-            "total: {:.2}s wall, {} simulated events, {:.1} M events/s",
-            wall.as_secs_f64(),
-            events,
-            events as f64 / wall.as_secs_f64() / 1e6
-        );
-        eprintln!(
-            "run length ({}): {} of {} points stopped early; \
-             {} of {} Mcycles simulated ({:.1}% saved, \
-             mean {:.0} kcycles/point)",
-            if args.exact { "exact" } else { "adaptive" },
-            tally.early,
-            tally.runs,
-            tally.cycles_simulated / 1_000_000,
-            tally.cycles_budgeted / 1_000_000,
-            100.0 * tally.saved_fraction(),
-            tally.cycles_simulated as f64 / tally.runs.max(1) as f64 / 1e3
-        );
-        // Model evaluation is accounted separately from simulation:
-        // every prediction in the campaign flows through
-        // `bounce_harness::predict_timed`.
-        let mt = bounce_harness::modeltime::snapshot();
-        eprintln!(
-            "model evaluation: {} predictions in {:.4}s ({:.4}% of wall)",
-            mt.calls,
-            mt.seconds,
-            100.0 * mt.seconds / wall.as_secs_f64()
-        );
-        // BENCH_repro.json lives in the invocation directory (the repo
-        // root under `just repro-quick`), keyed by run-length mode so
-        // the adaptive entry is always read next to its exact baseline.
-        let bench_path = PathBuf::from("BENCH_repro.json");
-        let entry = bounce_bench::bench_json::BenchEntry {
-            command: format!(
-                "repro all{}{}",
-                if args.quick { " --quick" } else { "" },
-                if args.exact { " --exact" } else { "" }
-            ),
-            jobs: bounce_harness::jobs(),
-            wall_seconds: wall.as_secs_f64(),
-            simulated_events: events,
-            events_per_sec: events as f64 / wall.as_secs_f64(),
-            experiments: specs.len(),
-            runs: tally.runs,
-            early_stop_runs: tally.early,
-            cycles_simulated: tally.cycles_simulated,
-            cycles_budgeted: tally.cycles_budgeted,
-        };
-        let existing = std::fs::read_to_string(&bench_path).ok();
-        let merged = bounce_bench::bench_json::merge_bench_json(
-            existing.as_deref(),
-            if args.exact { "exact" } else { "adaptive" },
-            &entry,
-        );
-        if let Err(e) = std::fs::write(&bench_path, merged) {
-            eprintln!("error: writing {}: {e}", bench_path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", bench_path.display());
-    }
 
     // stdout, in registry order. Cached experiments were not re-run, so
     // their tables are replayed from the verified files on disk —
     // keeping a resumed run's stdout identical to an uninterrupted one.
     let mut printed: Vec<(String, bounce_harness::report::Table)> = Vec::new();
     let mut failures: Vec<(String, String)> = Vec::new();
-    for ((id, _), (outcome, _)) in specs.iter().zip(&outcomes) {
+    for ((id, _), outcome) in specs.iter().zip(&outcomes) {
         match outcome {
             Outcome::Fresh(t) => {
                 if args.markdown {
@@ -535,11 +469,11 @@ fn run_all(args: &Args, ctx: ExpCtx) -> ExitCode {
     if let Some(dir) = &args.out {
         let n_cached = outcomes
             .iter()
-            .filter(|(o, _)| matches!(o, Outcome::Cached))
+            .filter(|o| matches!(o, Outcome::Cached))
             .count();
         let n_ok = outcomes
             .iter()
-            .filter(|(o, _)| matches!(o, Outcome::Fresh(_)))
+            .filter(|o| matches!(o, Outcome::Fresh(_)))
             .count();
         eprintln!(
             "wrote {n_ok} tables to {} ({n_cached} already complete, skipped)",
@@ -591,18 +525,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // `--filter` selects experiments of the `all` campaign; on any other
-    // subcommand it used to parse and then be silently ignored.
-    if args.filter.is_some() && args.command != "all" {
-        eprintln!(
-            "error: --filter only applies to 'repro all' (the '{}' command \
-             names its work directly and would silently ignore the filter); \
-             known experiment ids: {}",
-            args.command,
-            EXPERIMENT_IDS.join(", ")
-        );
-        return ExitCode::FAILURE;
-    }
     let mut ctx = if args.quick {
         ExpCtx::quick()
     } else {
@@ -618,12 +540,24 @@ fn main() -> ExitCode {
         ctx = ctx.with_retry_policy(r);
     }
     ctx = ctx.with_exact(args.exact);
+    // `--filter` selects experiments of the `all` campaign; on any other
+    // subcommand it used to parse and then be silently ignored.
+    if args.filter.is_some() && args.command != "all" {
+        eprintln!(
+            "error: --filter only applies to 'repro all' (the '{}' command \
+             names its work directly and would silently ignore the filter); \
+             known experiment ids: {}",
+            args.command,
+            experiment_ids(ctx).join(", ")
+        );
+        return ExitCode::FAILURE;
+    }
     bounce_harness::set_jobs(args.jobs);
     match args.command.as_str() {
         "help" => {
             eprintln!(
-                "usage: repro [predict|fit|validate|conform|sweep|topo|list|lint|all|{}] [--machine e5|knl] [--protocol {}] [--fabric-faults {}] [--retry-policy {}] [--quick] [--exact] [--jobs N] [--timings] [--markdown] [--plots] [--out DIR] [--resume] [--filter IDS]",
-                EXPERIMENT_IDS.join("|"),
+                "usage: repro [predict|fit|validate|conform|sweep|topo|list|lint|all|{}] [--machine e5|knl] [--protocol {}] [--fabric-faults {}] [--retry-policy {}] [--quick] [--exact] [--jobs N] [--markdown] [--plots] [--out DIR] [--resume] [--filter IDS]",
+                experiment_ids(ctx).join("|"),
                 protocol_names().replace(", ", "|"),
                 fabric_names().replace(", ", "|"),
                 retry_names().replace(", ", "|")
@@ -728,7 +662,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "list" => {
-            for id in EXPERIMENT_IDS {
+            for id in experiment_ids(ctx) {
                 println!("{id}");
             }
             ExitCode::SUCCESS
@@ -865,48 +799,6 @@ fn main() -> ExitCode {
         }
         "conform" => run_conform(&args),
         "all" => run_all(&args, ctx),
-        id => {
-            let machines: Vec<Machine> = match args.machine {
-                Some(m) => vec![m],
-                None => Machine::ALL.to_vec(),
-            };
-            let mut found = false;
-            for m in machines {
-                match run_one(id, ctx, m) {
-                    Some(Ok(t)) => {
-                        found = true;
-                        if let Some(dir) = &args.out {
-                            let file_id = format!("{id}-{}", m.label());
-                            if let Err(e) = write_table_outputs(dir, &file_id, &t, args.plots) {
-                                eprintln!("error: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                        if args.markdown {
-                            print!("{}", t.to_markdown());
-                        } else {
-                            println!("{}", t.to_tsv());
-                        }
-                        // The global tables are machine-independent.
-                        if id.starts_with("table") {
-                            break;
-                        }
-                    }
-                    Some(Err(e)) => {
-                        eprintln!("error: {id} on {}: {e}", m.label());
-                        return ExitCode::FAILURE;
-                    }
-                    None => break,
-                }
-            }
-            if !found {
-                eprintln!(
-                    "unknown experiment '{id}'; known: {}",
-                    EXPERIMENT_IDS.join(", ")
-                );
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
+        id => run_experiment(&args, ctx, id),
     }
 }

@@ -4,7 +4,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench_json;
 pub mod conform;
 pub mod manifest;
 

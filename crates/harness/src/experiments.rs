@@ -225,7 +225,7 @@ impl ExpCtx {
         self
     }
 
-    pub(crate) fn run_cfg(&self, machine: Machine, _topo: &MachineTopology) -> SimRunConfig {
+    pub(crate) fn run_cfg(&self, machine: Machine) -> SimRunConfig {
         let mut cfg = SimRunConfig {
             params: machine.sim_params(),
             duration_cycles: if self.quick { 300_000 } else { 2_000_000 },
@@ -306,7 +306,7 @@ pub fn table2(ctx: ExpCtx) -> ExpResult {
     );
     for m in Machine::ALL {
         let topo = m.topo();
-        let cfg = ctx.run_cfg(m, &topo);
+        let cfg = ctx.run_cfg(m);
         for prim in Primitive::ALL {
             let meas = measure(&topo, &Workload::LowContention { prim, work: 0 }, 1, &cfg)?;
             t.push(vec![
@@ -324,7 +324,7 @@ pub fn table2(ctx: ExpCtx) -> ExpResult {
 /// per primitive.
 pub fn fig1(ctx: ExpCtx, machine: Machine) -> ExpResult {
     let topo = machine.topo();
-    let cfg = ctx.run_cfg(machine, &topo);
+    let cfg = ctx.run_cfg(machine);
     let mut t = Table::new(
         format!(
             "Fig 1 (E3): HC throughput vs threads (Mops/s) — {}",
@@ -346,7 +346,7 @@ pub fn fig1(ctx: ExpCtx, machine: Machine) -> ExpResult {
 /// Fig 2 (E4): high-contention mean per-op latency vs thread count.
 pub fn fig2(ctx: ExpCtx, machine: Machine) -> ExpResult {
     let topo = machine.topo();
-    let cfg = ctx.run_cfg(machine, &topo);
+    let cfg = ctx.run_cfg(machine);
     let mut t = Table::new(
         format!("Fig 2 (E4): HC latency vs threads (cycles) — {}", topo.name),
         &["n", "swap", "tas", "faa", "cas", "cas_p99"],
@@ -371,7 +371,7 @@ pub fn fig2(ctx: ExpCtx, machine: Machine) -> ExpResult {
 /// model's predicted failure rate.
 pub fn fig3(ctx: ExpCtx, machine: Machine) -> ExpResult {
     let topo = machine.topo();
-    let cfg = ctx.run_cfg(machine, &topo);
+    let cfg = ctx.run_cfg(machine);
     let model = machine.model();
     let order = PlacementOrder::new(Placement::Packed, &topo);
     let window = 30u64;
@@ -425,7 +425,7 @@ pub fn fig4(ctx: ExpCtx, machine: Machine) -> ExpResult {
         }
         let mut row = vec![n.to_string()];
         for arb in ArbitrationPolicy::ALL {
-            let mut cfg = ctx.run_cfg(machine, &topo);
+            let mut cfg = ctx.run_cfg(machine);
             cfg.params.arbitration = arb;
             let meas = measure_pinned(
                 &topo,
@@ -448,7 +448,7 @@ pub fn fig4(ctx: ExpCtx, machine: Machine) -> ExpResult {
 /// RAPL-substitute vs model.
 pub fn fig5(ctx: ExpCtx, machine: Machine) -> ExpResult {
     let topo = machine.topo();
-    let cfg = ctx.run_cfg(machine, &topo);
+    let cfg = ctx.run_cfg(machine);
     let model = machine.model();
     let order = PlacementOrder::new(Placement::Packed, &topo);
     let mut t = Table::new(
@@ -495,7 +495,7 @@ pub fn fig5(ctx: ExpCtx, machine: Machine) -> ExpResult {
 /// Fig 6 (E8): low-contention throughput scaling vs thread count.
 pub fn fig6(ctx: ExpCtx, machine: Machine) -> ExpResult {
     let topo = machine.topo();
-    let cfg = ctx.run_cfg(machine, &topo);
+    let cfg = ctx.run_cfg(machine);
     let mut t = Table::new(
         format!(
             "Fig 6 (E8): LC throughput vs threads (Mops/s) — {}",
@@ -525,7 +525,7 @@ pub fn fig6(ctx: ExpCtx, machine: Machine) -> ExpResult {
 pub fn fig7(ctx: ExpCtx, machine: Machine) -> ExpResult {
     use crate::campaign::{try_fit_and_validate, TrainSplit};
     let topo = machine.topo();
-    let cfg = ctx.run_cfg(machine, &topo);
+    let cfg = ctx.run_cfg(machine);
     let ns = machine.sweep_ns(ctx.quick);
     let split = if ns.iter().filter(|&&n| n >= 2).count() >= 4 {
         TrainSplit::Alternate
@@ -591,7 +591,7 @@ pub fn fig7(ctx: ExpCtx, machine: Machine) -> ExpResult {
 /// count under each placement policy, vs the model.
 pub fn fig8(ctx: ExpCtx, machine: Machine) -> ExpResult {
     let topo = machine.topo();
-    let cfg = ctx.run_cfg(machine, &topo);
+    let cfg = ctx.run_cfg(machine);
     let model = machine.model();
     let n = if ctx.quick {
         4
@@ -641,7 +641,7 @@ pub fn fig8(ctx: ExpCtx, machine: Machine) -> ExpResult {
 /// `N/(w + c_p + E[t])`.
 pub fn fig9(ctx: ExpCtx, machine: Machine) -> ExpResult {
     let topo = machine.topo();
-    let cfg = ctx.run_cfg(machine, &topo);
+    let cfg = ctx.run_cfg(machine);
     let model = machine.model();
     let n = if ctx.quick { 4 } else { 16 };
     let order = Placement::Packed.assign(&topo, n);
@@ -684,7 +684,7 @@ pub fn fig9(ctx: ExpCtx, machine: Machine) -> ExpResult {
 /// contention (critical-section handoffs per second).
 pub fn fig10(ctx: ExpCtx, machine: Machine) -> ExpResult {
     let topo = machine.topo();
-    let mut cfg = ctx.run_cfg(machine, &topo);
+    let mut cfg = ctx.run_cfg(machine);
     // Locks are latency-bound; give the sim a longer window so every
     // thread acquires several times even at large n.
     cfg.duration_cycles *= 2;
@@ -757,7 +757,7 @@ pub fn fig10(ctx: ExpCtx, machine: Machine) -> ExpResult {
 /// HC behaviour reappears.
 pub fn fig11(ctx: ExpCtx, machine: Machine) -> ExpResult {
     let topo = machine.topo();
-    let cfg = ctx.run_cfg(machine, &topo);
+    let cfg = ctx.run_cfg(machine);
     let mut t = Table::new(
         format!(
             "Fig 11 (E13): false sharing vs padded (FAA, Mops/s) — {}",
@@ -827,7 +827,7 @@ pub fn fig12(ctx: ExpCtx, machine: Machine) -> ExpResult {
             prim: Primitive::Faa,
         };
         let run = |protocol: CoherenceKind| -> Result<f64, ExpError> {
-            let mut cfg = ctx.run_cfg(machine, &topo);
+            let mut cfg = ctx.run_cfg(machine);
             cfg.params.protocol = protocol;
             Ok(measure(&topo, &w, n, &cfg)?.throughput_ops_per_sec)
         };
@@ -855,7 +855,7 @@ pub fn fig12(ctx: ExpCtx, machine: Machine) -> ExpResult {
 /// grows ~linearly with stripes until the demand cap.
 pub fn fig13(ctx: ExpCtx, machine: Machine) -> ExpResult {
     let topo = machine.topo();
-    let cfg = ctx.run_cfg(machine, &topo);
+    let cfg = ctx.run_cfg(machine);
     let model = machine.model();
     let n = if ctx.quick { 4 } else { 16 };
     let order = Placement::Packed.assign(&topo, n);
@@ -925,7 +925,7 @@ pub fn protocol_ablation(ctx: ExpCtx, machine: Machine) -> ExpResult {
         ],
     );
     for kind in CoherenceKind::ALL {
-        let mut cfg = ctx.run_cfg(machine, &topo);
+        let mut cfg = ctx.run_cfg(machine);
         cfg.params.protocol = kind;
         let faa = measure(
             &topo,
@@ -1003,7 +1003,7 @@ pub fn ablations(ctx: ExpCtx, machine: Machine) -> ExpResult {
             },
         ),
     ] {
-        let cfg = ctx.run_cfg(machine, &topo);
+        let cfg = ctx.run_cfg(machine);
         let m = measure(&topo, &w, n, &cfg)?;
         t.push(vec![
             "A1-backoff".into(),
@@ -1022,7 +1022,7 @@ pub fn ablations(ctx: ExpCtx, machine: Machine) -> ExpResult {
         ),
         ("hash", bounce_sim::HomePolicy::Hash),
     ] {
-        let mut cfg = ctx.run_cfg(machine, &topo);
+        let mut cfg = ctx.run_cfg(machine);
         cfg.params.home_policy = policy;
         let m = measure(
             &topo,
@@ -1043,7 +1043,7 @@ pub fn ablations(ctx: ExpCtx, machine: Machine) -> ExpResult {
     // A3: arbitration policy's throughput/fairness trade (scattered
     // placement so locality matters).
     for arb in ArbitrationPolicy::ALL {
-        let mut cfg = ctx.run_cfg(machine, &topo);
+        let mut cfg = ctx.run_cfg(machine);
         cfg.params.arbitration = arb;
         cfg.placement = Placement::Scattered;
         let m = measure(
@@ -1070,7 +1070,7 @@ pub fn ablations(ctx: ExpCtx, machine: Machine) -> ExpResult {
         ("fixed0-port40", bounce_sim::HomePolicy::Fixed(0), 40),
         ("hash-port40", bounce_sim::HomePolicy::Hash, 40),
     ] {
-        let mut cfg = ctx.run_cfg(machine, &topo);
+        let mut cfg = ctx.run_cfg(machine);
         cfg.params.home_policy = policy;
         cfg.params.home_port_occupancy = occupancy;
         let m = measure(
@@ -1094,7 +1094,7 @@ pub fn ablations(ctx: ExpCtx, machine: Machine) -> ExpResult {
     // with and without per-link occupancy. Finite links couple flows
     // whose routes overlap.
     for (label, occupancy) in [("inf-links", 0u32), ("link-occ8", 8), ("link-occ24", 24)] {
-        let mut cfg = ctx.run_cfg(machine, &topo);
+        let mut cfg = ctx.run_cfg(machine);
         cfg.params.home_policy = bounce_sim::HomePolicy::Hash;
         cfg.params.link_occupancy_cycles = occupancy;
         let m = measure(
@@ -1124,7 +1124,7 @@ pub fn ablations(ctx: ExpCtx, machine: Machine) -> ExpResult {
 /// comes from winner variance and the domain mixture).
 pub fn latency_hist(ctx: ExpCtx, machine: Machine) -> ExpResult {
     let topo = machine.topo();
-    let mut cfg = ctx.run_cfg(machine, &topo);
+    let mut cfg = ctx.run_cfg(machine);
     cfg.params.arbitration = ArbitrationPolicy::Random;
     let ns: Vec<usize> = if ctx.quick {
         vec![2, 4]
@@ -1183,7 +1183,7 @@ pub fn latency_hist(ctx: ExpCtx, machine: Machine) -> ExpResult {
 /// popularity.
 pub fn fig14(ctx: ExpCtx, machine: Machine) -> ExpResult {
     let topo = machine.topo();
-    let cfg = ctx.run_cfg(machine, &topo);
+    let cfg = ctx.run_cfg(machine);
     let model = machine.model();
     let n = if ctx.quick { 4 } else { 16 };
     let lines = 8;
@@ -1321,7 +1321,7 @@ pub fn fault_injection(ctx: ExpCtx, machine: Machine) -> ExpResult {
                 freq_jitter: 0.0,
             },
         };
-        let mut cfg = ctx.run_cfg(machine, &topo).with_faults(faults);
+        let mut cfg = ctx.run_cfg(machine).with_faults(faults);
         cfg.params.arbitration = ArbitrationPolicy::Random;
         // Preemption transients are the point of this experiment — the
         // run is deliberately non-steady-state, so adaptive run-length
@@ -1433,7 +1433,7 @@ pub fn degraded_fabric(ctx: ExpCtx, machine: Machine) -> ExpResult {
     );
     for &(nack, pending) in severities {
         let fabric = fabric_severity(nack, pending);
-        let base = ctx.run_cfg(machine, &topo).with_fabric_faults(fabric);
+        let base = ctx.run_cfg(machine).with_fabric_faults(fabric);
         // Fault transients are the point: adaptive run-length
         // convergence would cut the run mid-transient, so e15 always
         // runs the full fixed budget (same reasoning as e14).
@@ -1494,8 +1494,9 @@ pub fn degraded_fabric(ctx: ExpCtx, machine: Machine) -> ExpResult {
 pub type ExpThunk = Box<dyn Fn() -> ExpResult + Send + Sync>;
 
 /// Every experiment as an (id, thunk) pair, in presentation order, with
-/// stable ids. The `repro` binary uses this directly so `--filter` and
-/// `--resume` can skip experiments without running them.
+/// stable ids: the one list of experiments. The `repro` binary derives
+/// `repro list`, `repro <id>`, `--filter` and its error messages from
+/// it, and `--filter`/`--resume` skip experiments without running them.
 pub fn experiment_specs(ctx: ExpCtx) -> Vec<(String, ExpThunk)> {
     let mut specs: Vec<(String, ExpThunk)> = vec![
         ("table1".to_string(), Box::new(|| Ok(table1()))),
@@ -1540,9 +1541,9 @@ pub fn experiment_specs(ctx: ExpCtx) -> Vec<(String, ExpThunk)> {
 pub fn sweep_json(ctx: ExpCtx, machine: Machine, prim: Primitive) -> Result<String, ExpError> {
     let topo = machine.topo();
     let ns = machine.sweep_ns(ctx.quick);
-    let cfg = ctx.run_cfg(machine, &topo);
+    let cfg = ctx.run_cfg(machine);
     let w = Workload::HighContention { prim };
-    let ms = crate::sweeps::try_sweep_threads(&topo, &w, &ns, &cfg).map_err(|e| ExpError::Sim {
+    let ms = crate::sweeps::sweep_threads(&topo, &w, &ns, &cfg).map_err(|e| ExpError::Sim {
         context: format!("sweep {} on {}", w.label(), topo.name),
         source: Box::new(e),
     })?;
@@ -1640,22 +1641,10 @@ pub fn run_guarded(id: &str, thunk: &ExpThunk) -> ExpResult {
 /// results are collected in registry order, so the output — and every
 /// table in it — is identical to a serial run.
 pub fn all_experiments(ctx: ExpCtx) -> Vec<(String, ExpResult)> {
-    all_experiments_timed(ctx)
-        .into_iter()
-        .map(|(id, t, _)| (id, t))
-        .collect()
-}
-
-/// Like [`all_experiments`], with each experiment's own wall-clock
-/// elapsed time (as seen by the task, so times of concurrently-running
-/// experiments overlap).
-pub fn all_experiments_timed(ctx: ExpCtx) -> Vec<(String, ExpResult, std::time::Duration)> {
     let specs = experiment_specs(ctx);
     crate::parallel::par_run(specs.len(), |i| {
         let (id, thunk) = &specs[i];
-        let t0 = std::time::Instant::now();
-        let result = run_guarded(id, thunk);
-        (id.clone(), result, t0.elapsed())
+        (id.clone(), run_guarded(id, thunk))
     })
 }
 

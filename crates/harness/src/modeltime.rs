@@ -1,8 +1,8 @@
 //! Model-evaluation accounting: every analytic prediction in the
 //! harness goes through [`predict_timed`], which charges its wall-clock
-//! cost to a process-wide counter. `repro --timings` reads the
-//! [`snapshot`] to report model-evaluation time separately from
-//! simulation time — the model is supposed to be ~free next to the
+//! cost to a process-wide counter. The validation campaign and perfbench
+//! read the [`snapshot`] to report model-evaluation time separately
+//! from simulation time — the model is supposed to be ~free next to the
 //! simulator, and this is the number that proves it.
 
 use bounce_core::{Prediction, Predictor, Scenario};
@@ -17,7 +17,7 @@ static CALLS: AtomicU64 = AtomicU64::new(0);
 ///
 /// This is the single prediction entry point for the experiment
 /// registry and the validation campaign: routing every call through it
-/// keeps the `--timings` split honest.
+/// keeps the model-time split honest.
 pub fn predict_timed(model: &impl Predictor, scenario: &Scenario) -> Prediction {
     let t0 = Instant::now();
     let p = model.predict(scenario);
@@ -26,8 +26,7 @@ pub fn predict_timed(model: &impl Predictor, scenario: &Scenario) -> Prediction 
     p
 }
 
-/// Accumulated model-evaluation cost since process start (or the last
-/// [`reset`]).
+/// Accumulated model-evaluation cost since process start.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelTime {
     /// Number of predictions evaluated.
@@ -42,12 +41,6 @@ pub fn snapshot() -> ModelTime {
         calls: CALLS.load(Ordering::Relaxed),
         seconds: NANOS.load(Ordering::Relaxed) as f64 / 1e9,
     }
-}
-
-/// Zero the counters (tests and per-phase accounting).
-pub fn reset() {
-    NANOS.store(0, Ordering::Relaxed);
-    CALLS.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]

@@ -5,31 +5,17 @@
 use crate::measurement::Measurement;
 use crate::parallel::par_map;
 use crate::report::{fmt_f64, Table};
-use crate::simrun::{sim_measure, try_sim_measure, SimRunConfig};
+use crate::simrun::{try_sim_measure, SimRunConfig};
 use bounce_sim::SimError;
 use bounce_topo::MachineTopology;
 use bounce_workloads::Workload;
 
 /// Run `workload` for every thread count in `ns` on the simulated
 /// machine. Points run on the parallel executor; results come back in
-/// sweep order (see [`crate::parallel`]).
-///
-/// # Panics
-/// Panics if any point trips the forward-progress watchdog; use
-/// [`try_sweep_threads`] for structured errors.
+/// sweep order (see [`crate::parallel`]). Every point runs (points are
+/// independent); on a watchdog trip the lowest-index failing point's
+/// `SimError` is returned.
 pub fn sweep_threads(
-    topo: &MachineTopology,
-    workload: &Workload,
-    ns: &[usize],
-    cfg: &SimRunConfig,
-) -> Vec<Measurement> {
-    par_map(ns, |&n| sim_measure(topo, workload, n, cfg))
-}
-
-/// [`sweep_threads`] surfacing the first watchdog diagnosis instead of
-/// panicking. Every point still runs (points are independent); on error
-/// the lowest-index failing point's `SimError` is returned.
-pub fn try_sweep_threads(
     topo: &MachineTopology,
     workload: &Workload,
     ns: &[usize],
@@ -40,23 +26,9 @@ pub fn try_sweep_threads(
         .collect()
 }
 
-/// Run every workload variant at a fixed thread count, in parallel.
-///
-/// # Panics
-/// Panics if any point trips the forward-progress watchdog; use
-/// [`try_sweep_workloads`] for structured errors.
+/// Run every workload variant at a fixed thread count, in parallel,
+/// with the error rule of [`sweep_threads`].
 pub fn sweep_workloads(
-    topo: &MachineTopology,
-    workloads: &[Workload],
-    n: usize,
-    cfg: &SimRunConfig,
-) -> Vec<Measurement> {
-    par_map(workloads, |w| sim_measure(topo, w, n, cfg))
-}
-
-/// [`sweep_workloads`] surfacing the first watchdog diagnosis instead of
-/// panicking.
-pub fn try_sweep_workloads(
     topo: &MachineTopology,
     workloads: &[Workload],
     n: usize,
@@ -202,7 +174,7 @@ mod tests {
         let w = Workload::HighContention {
             prim: Primitive::Faa,
         };
-        let ms = sweep_threads(&topo, &w, &[1, 2, 4], &cfg);
+        let ms = sweep_threads(&topo, &w, &[1, 2, 4], &cfg).unwrap();
         assert_eq!(ms.len(), 3);
         assert_eq!(ms[0].n, 1);
         assert_eq!(ms[2].n, 4);
@@ -213,7 +185,7 @@ mod tests {
         let topo = presets::tiny_test_machine();
         let cfg = quick(&topo);
         let battery = Workload::standard_battery();
-        let ms = sweep_workloads(&topo, &battery[..4], 2, &cfg);
+        let ms = sweep_workloads(&topo, &battery[..4], 2, &cfg).unwrap();
         assert_eq!(ms.len(), 4);
         let labels: std::collections::HashSet<_> = ms.iter().map(|m| m.workload.clone()).collect();
         assert_eq!(labels.len(), 4);
@@ -226,7 +198,7 @@ mod tests {
         let w = Workload::HighContention {
             prim: Primitive::Faa,
         };
-        let ms = sweep_threads(&topo, &w, &[2, 4], &cfg);
+        let ms = sweep_threads(&topo, &w, &[2, 4], &cfg).unwrap();
         let preds: Vec<f64> = ms.iter().map(|m| m.throughput_ops_per_sec * 1.1).collect();
         let rows = compare_throughput(&ms, &preds);
         assert_eq!(rows.len(), 2);
@@ -250,7 +222,7 @@ mod tests {
         let w = Workload::HighContention {
             prim: Primitive::Faa,
         };
-        let ms = sweep_threads(&topo, &w, &[2, 4], &cfg);
+        let ms = sweep_threads(&topo, &w, &[2, 4], &cfg).unwrap();
         let json = measurements_json("hc-faa", &ms);
         assert!(json.contains("\"p50_lat_cycles\":"), "{json}");
         assert!(json.contains("\"p99_lat_cycles\":"), "{json}");
@@ -274,7 +246,8 @@ mod tests {
             },
             &[2],
             &cfg,
-        );
+        )
+        .unwrap();
         let t = measurements_table("demo", &ms);
         assert_eq!(t.rows.len(), 1);
         assert_eq!(t.headers.len(), 9);

@@ -326,7 +326,7 @@ pub fn campaign_validation(ctx: ExpCtx) -> Result<ValidationReport, ExpError> {
             }
         }
         let results = crate::parallel::par_map(&keys, |(w, n, scale)| {
-            let mut cfg = ctx.run_cfg(machine, &topo);
+            let mut cfg = ctx.run_cfg(machine);
             cfg.duration_cycles *= *scale;
             let t0 = Instant::now();
             let r = measure(&topo, w, *n, &cfg);

@@ -82,9 +82,9 @@ fn parallel_sweeps_match_serial_field_for_field() {
 
     // sweep_threads
     set_jobs(1);
-    let serial = sweep_threads(&topo, &hc, &ns, &cfg);
+    let serial = sweep_threads(&topo, &hc, &ns, &cfg).unwrap();
     set_jobs(4);
-    let parallel = sweep_threads(&topo, &hc, &ns, &cfg);
+    let parallel = sweep_threads(&topo, &hc, &ns, &cfg).unwrap();
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
         assert_meas_eq(a, b, &format!("sweep_threads n={}", a.n));
@@ -93,9 +93,9 @@ fn parallel_sweeps_match_serial_field_for_field() {
     // sweep_workloads
     let battery = Workload::standard_battery();
     set_jobs(1);
-    let serial = sweep_workloads(&topo, &battery[..4], 4, &cfg);
+    let serial = sweep_workloads(&topo, &battery[..4], 4, &cfg).unwrap();
     set_jobs(4);
-    let parallel = sweep_workloads(&topo, &battery[..4], 4, &cfg);
+    let parallel = sweep_workloads(&topo, &battery[..4], 4, &cfg).unwrap();
     for (a, b) in serial.iter().zip(&parallel) {
         assert_meas_eq(a, b, &format!("sweep_workloads {}", a.workload));
     }

@@ -30,7 +30,7 @@ fn faulted_cfg(fabric: FabricFaultConfig, retry: RetryPolicy) -> SimRunConfig {
 
 fn sweep_debug(cfg: &SimRunConfig, workload: &Workload) -> String {
     let topo = presets::tiny_test_machine();
-    format!("{:?}", sweep_threads(&topo, workload, &NS, cfg))
+    format!("{:?}", sweep_threads(&topo, workload, &NS, cfg).unwrap())
 }
 
 #[test]
@@ -86,8 +86,8 @@ fn fault_injection_is_deterministic_and_default_is_inert() {
         work: 0,
     };
     set_jobs(4);
-    let baseline = sweep_threads(&topo, &w, &NS, &baseline_cfg);
-    let disabled = sweep_threads(&topo, &w, &NS, &disabled_cfg);
+    let baseline = sweep_threads(&topo, &w, &NS, &baseline_cfg).unwrap();
+    let disabled = sweep_threads(&topo, &w, &NS, &disabled_cfg).unwrap();
     assert_eq!(
         format!("{baseline:?}"),
         format!("{disabled:?}"),

@@ -2,9 +2,9 @@
 //!
 //! The parallel campaign executor runs many [`Engine`](crate::Engine)s
 //! concurrently; each engine folds its per-run event count into this
-//! global tally when `try_run()` returns. The repro driver reads it to
-//! report aggregate events/sec in `--timings` output and
-//! `BENCH_repro.json`.
+//! global tally when `try_run()` returns. perfbench reads it to report
+//! aggregate events/sec, the run-length tally and fault counts for each
+//! benchmark workload.
 //!
 //! Relaxed ordering is sufficient: the counter is monotonic bookkeeping,
 //! never used for synchronisation, and reads happen after the worker
