@@ -1498,12 +1498,12 @@ pub type ExpThunk = Box<dyn Fn() -> ExpResult + Send + Sync>;
 /// `repro list`, `repro <id>`, `--filter` and its error messages from
 /// it, and `--filter`/`--resume` skip experiments without running them.
 pub fn experiment_specs(ctx: ExpCtx) -> Vec<(String, ExpThunk)> {
-    let mut specs: Vec<(String, ExpThunk)> = vec![
-        ("table1".to_string(), Box::new(|| Ok(table1()))),
-        ("table2".to_string(), Box::new(move || table2(ctx))),
-    ];
+    const FIGS: usize = 20;
+    let mut specs: Vec<(String, ExpThunk)> = Vec::with_capacity(2 + FIGS * Machine::ALL.len());
+    specs.push(("table1".to_string(), Box::new(|| Ok(table1()))));
+    specs.push(("table2".to_string(), Box::new(move || table2(ctx))));
     for m in Machine::ALL {
-        let figs: [(&str, ExpThunk); 20] = [
+        let figs: [(&str, ExpThunk); FIGS] = [
             ("fig1", Box::new(move || fig1(ctx, m))),
             ("fig2", Box::new(move || fig2(ctx, m))),
             ("fig3", Box::new(move || fig3(ctx, m))),
@@ -1526,7 +1526,7 @@ pub fn experiment_specs(ctx: ExpCtx) -> Vec<(String, ExpThunk)> {
             ("latency-hist", Box::new(move || latency_hist(ctx, m))),
         ];
         for (name, thunk) in figs {
-            specs.push((format!("{name}-{}", m.label()), thunk));
+            specs.push(([name, "-", m.label()].concat(), thunk));
         }
     }
     specs

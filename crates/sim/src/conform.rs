@@ -23,7 +23,7 @@ use crate::probe::{Probe, ProbeEvent, Transition};
 pub struct DirSnapshot {
     /// Owning core (concrete core id), if any.
     pub owner: Option<u32>,
-    /// Sharer core ids, ascending (BTreeSet iteration order).
+    /// Sharer core ids, ascending.
     pub sharers: Vec<u32>,
     /// Forward-state holder (MESIF), if any.
     pub forward: Option<u32>,

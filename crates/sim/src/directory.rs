@@ -4,14 +4,15 @@
 //!
 //! One [`LineDir`] entry exists per cache line that has ever been
 //! requested. The entry serialises transactions: at most one request per
-//! line is in service at a time; the rest wait in `queue`. This per-line
+//! line is in service at a time; the rest wait in its queue. This per-line
 //! serialisation is the mechanism behind the paper's model — every
 //! exclusive-ownership transfer ("bounce") is one serviced request.
 
 use crate::cache::LineId;
 use crate::config::HomePolicy;
 use bounce_topo::{CoherenceKind, MachineTopology, TileId};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::fmt;
 
 /// A coherence request waiting at (or being serviced by) the directory.
 #[derive(Debug, Clone, Copy)]
@@ -26,26 +27,117 @@ pub struct Request {
     pub issued_at: u64,
 }
 
+/// A set of core ids, kept as a bitset: bit `c % 64` of word `c / 64`
+/// is core `c`.
+///
+/// The words grow to cover the highest core ever inserted and never
+/// shrink, so once a line has seen its sharers, inserting, removing and
+/// clearing allocate nothing. Iteration is in ascending core order,
+/// which the engine's energy sums and fabric-jitter draws follow, and
+/// `Debug` prints the members like a set (`{1, 5}`).
+#[derive(Default)]
+pub struct CoreSet {
+    words: Vec<u64>,
+}
+
+impl CoreSet {
+    /// Add `core`; returns whether it was absent.
+    #[inline]
+    pub fn insert(&mut self, core: usize) -> bool {
+        let (w, bit) = (core / 64, 1u64 << (core % 64));
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        let absent = self.words[w] & bit == 0;
+        self.words[w] |= bit;
+        absent
+    }
+
+    /// Drop `core`; returns whether it was present.
+    pub fn remove(&mut self, core: usize) -> bool {
+        let present = self.contains(core);
+        if present {
+            self.words[core / 64] &= !(1u64 << (core % 64));
+        }
+        present
+    }
+
+    /// Whether `core` is a member.
+    pub fn contains(&self, core: usize) -> bool {
+        self.words
+            .get(core / 64)
+            .is_some_and(|w| w & (1u64 << (core % 64)) != 0)
+    }
+
+    /// Drop every member, keeping the words.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the set has no members.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The smallest member `>= core`, if any. Lets a caller walk the
+    /// set while it mutates the structure that holds it.
+    #[inline]
+    pub fn next_from(&self, core: usize) -> Option<usize> {
+        let (mut w, mut bits) = (core / 64, !0u64 << (core % 64));
+        while let Some(&word) = self.words.get(w) {
+            let m = word & bits;
+            if m != 0 {
+                return Some(w * 64 + m.trailing_zeros() as usize);
+            }
+            (w, bits) = (w + 1, !0);
+        }
+        None
+    }
+
+    /// Members in ascending order.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next_from(0), |&c| self.next_from(c + 1))
+    }
+}
+
+impl fmt::Debug for CoreSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
 /// Directory state for one line.
 ///
 /// The directory serialises *exclusive* transactions per line (one GetM
 /// in flight at a time — the bouncing), but services read (GetS)
 /// requests concurrently, as real LLC/home agents do. A waiting GetM
 /// gets writer priority: no new GetS starts until it has been served.
+/// The queue is private so that [`LineDir::enqueue`] and
+/// [`LineDir::dequeue`] keep the count of waiting GetMs that writer
+/// priority tests in O(1).
 #[derive(Debug, Default)]
 pub struct LineDir {
     /// Core holding the line in M/E, if any.
     pub owner: Option<usize>,
     /// Cores holding shared copies.
-    pub sharers: BTreeSet<usize>,
+    pub sharers: CoreSet,
     /// Core holding the MESIF Forward copy, if any.
     pub forward: Option<usize>,
     /// The exclusive request currently in service, if any.
     pub excl_in_flight: Option<Request>,
     /// Number of read (GetS) requests currently in service.
     pub shared_in_flight: u32,
-    /// Waiting requests.
-    pub queue: VecDeque<Request>,
+    /// Waiting requests, in arrival order.
+    queue: VecDeque<Request>,
+    /// Number of GetMs in `queue`.
+    queued_excl: u32,
 }
 
 impl LineDir {
@@ -59,10 +151,38 @@ impl LineDir {
         self.busy_excl() || self.shared_in_flight > 0
     }
 
+    /// Waiting requests, in arrival order.
+    #[inline]
+    pub fn queue(&self) -> &VecDeque<Request> {
+        &self.queue
+    }
+
+    /// Whether a GetM is waiting (writer priority).
+    #[inline]
+    pub fn excl_waiting(&self) -> bool {
+        self.queued_excl > 0
+    }
+
+    /// Append an arriving request to the queue.
+    #[inline]
+    pub fn enqueue(&mut self, req: Request) {
+        self.queued_excl += req.excl as u32;
+        self.queue.push_back(req);
+    }
+
+    /// Remove the waiting request at queue position `i`, if any.
+    #[inline]
+    pub fn dequeue(&mut self, i: usize) -> Option<Request> {
+        let req = self.queue.remove(i)?;
+        self.queued_excl -= req.excl as u32;
+        Some(req)
+    }
+
     /// Directory invariants, parameterised by protocol.
     ///
     /// Common to all protocols: the Forward holder, when present, is also
-    /// listed as sharer; exclusive and shared service never overlap.
+    /// listed as sharer; exclusive and shared service never overlap; the
+    /// count of waiting GetMs matches the queue.
     /// Under MESI(F) an owned line additionally has no sharers and no
     /// Forward copy; under MOESI a (dirty) owner legitimately coexists
     /// with sharers — but is never itself listed as one — and the Forward
@@ -70,7 +190,7 @@ impl LineDir {
     pub fn check_invariants(&self, kind: CoherenceKind) -> Result<(), String> {
         if let Some(o) = self.owner {
             if kind == CoherenceKind::Moesi {
-                if self.sharers.contains(&o) {
+                if self.sharers.contains(o) {
                     return Err(format!("owner {o} also listed as sharer"));
                 }
             } else if !self.sharers.is_empty() {
@@ -89,7 +209,7 @@ impl LineDir {
                     "forward holder {f} under non-MESIF protocol {kind}"
                 ));
             }
-            if !self.sharers.contains(&f) {
+            if !self.sharers.contains(f) {
                 return Err(format!("forward holder {f} not in sharer set"));
             }
         }
@@ -97,6 +217,13 @@ impl LineDir {
             return Err(format!(
                 "exclusive service overlaps {} shared services",
                 self.shared_in_flight
+            ));
+        }
+        let waiting = self.queue.iter().filter(|r| r.excl).count();
+        if waiting != self.queued_excl as usize {
+            return Err(format!(
+                "queued GetM count {} but {waiting} GetMs queued",
+                self.queued_excl
             ));
         }
         Ok(())
@@ -245,7 +372,7 @@ impl Directory {
     pub fn evict_sharer(&mut self, line: LineId, core: usize) {
         if let Some(i) = self.lookup(line) {
             let e = &mut self.entries[i as usize];
-            e.sharers.remove(&core);
+            e.sharers.remove(core);
             if e.forward == Some(core) {
                 e.forward = None;
             }
@@ -329,6 +456,29 @@ mod tests {
     }
 
     #[test]
+    fn queue_methods_keep_the_getm_count() {
+        let req = |thread, excl| Request {
+            thread,
+            core: thread,
+            excl,
+            issued_at: 0,
+        };
+        let mut e = LineDir::default();
+        for (t, excl) in [(0, false), (1, true), (2, false), (3, true)] {
+            e.enqueue(req(t, excl));
+        }
+        assert!(e.excl_waiting());
+        assert_eq!(e.dequeue(1).map(|r| r.thread), Some(1));
+        assert_eq!(e.dequeue(2).map(|r| r.thread), Some(3));
+        assert!(!e.excl_waiting());
+        assert!(e.dequeue(2).is_none());
+        assert!(e.check_invariants(CoherenceKind::Mesif).is_ok());
+        // A count out of step with the queue is caught.
+        e.queued_excl = 1;
+        assert!(e.check_invariants(CoherenceKind::Mesif).is_err());
+    }
+
+    #[test]
     fn eviction_helpers() {
         let topo = presets::tiny_test_machine();
         let mut dir = Directory::new(&topo, HomePolicy::Hash, 0);
@@ -375,7 +525,7 @@ mod tests {
         // The LineId-keyed view sees the same entry.
         assert_eq!(dir.get(LineId(64)).unwrap().owner, Some(3));
         dir.entry(LineId(64)).sharers.insert(1);
-        assert!(dir.get_at(i).sharers.contains(&1));
+        assert!(dir.get_at(i).sharers.contains(1));
     }
 
     #[test]

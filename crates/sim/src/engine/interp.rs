@@ -261,12 +261,15 @@ impl<P: Probe> Engine<P> {
     }
 
     fn wake_waiters(&mut self, idx: u32) {
-        let list = std::mem::take(&mut self.waiters[idx as usize]);
-        for tid in list {
+        // Borrow the list out and put it back empty, keeping its
+        // capacity for the line's next spinners.
+        let mut list = std::mem::take(&mut self.waiters[idx as usize]);
+        for tid in list.drain(..) {
             // Small propagation delay before the spinner re-checks.
             let t = self.now + 1;
             self.schedule(t, Ev::Resume(tid));
         }
+        self.waiters[idx as usize] = list;
     }
 
     pub(super) fn op_complete(&mut self, tid: usize) {

@@ -359,7 +359,7 @@ impl<P: Probe> Engine<P> {
             .collect();
         Some(DirSnapshot {
             owner: e.owner.map(|o| o as u32),
-            sharers: e.sharers.iter().map(|&s| s as u32).collect(),
+            sharers: e.sharers.iter().map(|s| s as u32).collect(),
             forward: e.forward.map(|f| f as u32),
             caches,
         })
@@ -481,7 +481,7 @@ impl<P: Probe> Engine<P> {
     pub fn dir_sharers(&self, line: LineId) -> Vec<usize> {
         self.dir
             .get(line)
-            .map(|e| e.sharers.iter().copied().collect())
+            .map(|e| e.sharers.iter().collect())
             .unwrap_or_default()
     }
 
@@ -725,7 +725,7 @@ impl<P: Probe> Engine<P> {
                 // Prefer lines with queued or in-flight work; tie-break
                 // towards lower intern index for determinism.
                 (
-                    e.queue.len(),
+                    e.queue().len(),
                     e.excl_in_flight.is_some() as usize + e.shared_in_flight as usize,
                     std::cmp::Reverse(i),
                 )
@@ -738,7 +738,7 @@ impl<P: Probe> Engine<P> {
                     owner: e.owner,
                     sharers: e.sharers.len(),
                     forward: e.forward,
-                    queue_len: e.queue.len(),
+                    queue_len: e.queue().len(),
                     excl_in_flight: e.excl_in_flight.is_some(),
                 }
             });

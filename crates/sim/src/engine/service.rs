@@ -28,7 +28,7 @@ impl<P: Probe> Engine<P> {
             return;
         }
         let pre = self.probe_snapshot(idx, None);
-        self.dir.entry_at(idx).queue.push_back(req);
+        self.dir.entry_at(idx).enqueue(req);
         if first_arrival {
             let queue = Transition::Queue { excl: req.excl };
             self.probe_emit(idx, Some(req.thread), req.core, queue, pre);
@@ -105,28 +105,19 @@ impl<P: Probe> Engine<P> {
     /// one is queued, no further GetS starts until it has been served.
     pub(super) fn pump(&mut self, idx: u32) {
         loop {
-            let shared_only = {
-                let e = self.dir.entry_at(idx);
-                if e.queue.is_empty() || e.busy_excl() {
-                    return;
-                }
-                if e.shared_in_flight > 0 {
-                    if e.queue.iter().any(|r| r.excl) {
-                        // Writer priority: drain the shared batch first.
-                        return;
-                    }
-                    true
-                } else {
-                    false
-                }
-            };
-            let Some(pick) = self.pick_request(idx, shared_only) else {
+            let e = self.dir.get_at(idx);
+            // Writer priority: while reads are in service, a waiting GetM
+            // lets the shared batch drain before anything starts.
+            if e.busy_excl() || (e.shared_in_flight > 0 && e.excl_waiting()) {
+                return;
+            }
+            let Some(pick) = self.pick_request(idx) else {
                 return;
             };
             let (req, queue_len) = {
                 let entry = self.dir.entry_at(idx);
-                let queue_len = entry.queue.len();
-                let req = entry.queue.remove(pick).expect("picked request exists");
+                let queue_len = entry.queue().len();
+                let req = entry.dequeue(pick).expect("picked request exists");
                 if req.excl {
                     entry.excl_in_flight = Some(req);
                 } else {
@@ -184,10 +175,7 @@ impl<P: Probe> Engine<P> {
         let tid = req.thread;
         let mut bounce = None;
         let line = self.dir.line_at(idx);
-        let (owner, sharers): (Option<usize>, Vec<usize>) = {
-            let e = self.dir.get_at(idx);
-            (e.owner, e.sharers.iter().copied().collect())
-        };
+        let owner = self.dir.get_at(idx).owner;
         if req.excl {
             if let Some(o) = owner {
                 if o != req.core {
@@ -201,7 +189,7 @@ impl<P: Probe> Engine<P> {
                     self.invalidations += 1;
                 }
             }
-            for s in sharers {
+            for s in self.dir.get_at(idx).sharers.iter() {
                 if s != req.core {
                     self.caches[s].invalidate(line);
                     self.invalidations += 1;
@@ -240,9 +228,9 @@ impl<P: Probe> Engine<P> {
         let inv_nj = self.cfg.params.energy.inv_nj;
         let home = self.dir.home_of(idx);
         let req_tile = self.tile_of_core(req.core);
-        let (owner, sharers, forward): (Option<usize>, Vec<usize>, Option<usize>) = {
+        let (owner, forward) = {
             let e = self.dir.get_at(idx);
-            (e.owner, e.sharers.iter().copied().collect(), e.forward)
+            (e.owner, e.forward)
         };
         let mut lat = dir_lookup;
         if req.excl {
@@ -250,16 +238,18 @@ impl<P: Probe> Engine<P> {
             // Under MESI(F) an owned line has no sharers, so this only
             // runs for clean-shared lines; under MOESI it also runs
             // alongside a retained Owned copy.
-            let inv_far = sharers
-                .iter()
-                .filter(|&&s| s != req.core)
-                .map(|&s| self.wire(home, self.tile_of_core(s)))
-                .max()
-                .unwrap_or(0) as u64;
-            for &s in sharers.iter().filter(|&&s| s != req.core) {
-                let st = self.tile_of_core(s);
-                let _ = self.charge_hops(home, st);
-                self.energy.invalidation_j += inv_nj * 1e-9;
+            // `charge_hops` needs `&mut self`, so walk the sharers by
+            // successor instead of holding an iterator over them.
+            let mut inv_far = 0u64;
+            let mut next = self.dir.get_at(idx).sharers.next_from(0);
+            while let Some(s) = next {
+                if s != req.core {
+                    let st = self.tile_of_core(s);
+                    inv_far = inv_far.max(self.wire(home, st) as u64);
+                    let _ = self.charge_hops(home, st);
+                    self.energy.invalidation_j += inv_nj * 1e-9;
+                }
+                next = self.dir.get_at(idx).sharers.next_from(s + 1);
             }
             let source = self.protocol.write_source(owner, forward, req.core);
             let data = self.data_leg(idx, source, req_tile);

@@ -28,6 +28,16 @@
 //!   (lazily rolled forward). Bucket `time & MASK` holds all entries
 //!   for exactly one instant, appended in seq order and consumed from
 //!   the front.
+//! * The buckets share one node slab: each bucket is a singly linked
+//!   chain of slab nodes with a head and a tail link, and popped nodes
+//!   go on a free list for the next push. The slab grows to the peak
+//!   number of wheel entries queued at once and never shrinks, so once
+//!   a run has reached its peak, `push` and `pop` allocate nothing, and
+//!   memory does not grow with the largest same-instant burst a bucket
+//!   has ever held. A bucket's head link lives in the same link array
+//!   as the nodes' next links, and an empty bucket's tail points at its
+//!   head link, so a push appends without testing whether the bucket
+//!   was empty.
 //! * A 1024-bit occupancy bitmap finds the next non-empty bucket with a
 //!   word-wise scan.
 //! * Entries beyond the wheel go to a small overflow `BinaryHeap`
@@ -43,7 +53,7 @@
 //! trails the popped (= current) time, so this holds by construction;
 //! it is debug-asserted.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Wheel size, in one-cycle buckets. Covers the engine's entire
 /// empirical event horizon (hits, directory transactions, memory
@@ -52,6 +62,10 @@ use std::collections::{BinaryHeap, VecDeque};
 pub const NUM_BUCKETS: usize = 1024;
 const MASK: u64 = NUM_BUCKETS as u64 - 1;
 const WORDS: usize = NUM_BUCKETS / 64;
+/// No link: the end of a chain or of the free list.
+const NIL: u32 = u32::MAX;
+/// Link index of the first node: links below it are bucket heads.
+const FIRST_NODE: u32 = NUM_BUCKETS as u32;
 
 /// An overflow entry; ordering reversed on `(time, seq)` so the std
 /// max-heap pops the earliest first.
@@ -96,9 +110,19 @@ pub struct CalendarQueue<T> {
     seq: u64,
     len: usize,
     wheel_len: usize,
-    /// One bucket per wheel slot: same-instant entries in push (= seq)
-    /// order.
-    buckets: Vec<VecDeque<(u64, T)>>,
+    /// Chain links. `next[b]` for a bucket `b < NUM_BUCKETS` is the
+    /// bucket's first node; `next[n]` for a node `n >= NUM_BUCKETS` is the
+    /// node after it in its bucket, or in the free list.
+    next: Vec<u32>,
+    /// Per bucket, the link its next entry is written to: its last node,
+    /// or the bucket's own head link while it is empty.
+    tail: Vec<u32>,
+    /// Per bucket, the one instant its entries are for.
+    times: Vec<u64>,
+    /// Node `n`'s entry is `items[n - NUM_BUCKETS]`; `None` while free.
+    items: Vec<Option<T>>,
+    /// First free node, or [`NIL`].
+    free: u32,
     /// Occupancy bitmap over buckets (bit = bucket index).
     occupied: [u64; WORDS],
     overflow: BinaryHeap<Far<T>>,
@@ -118,7 +142,11 @@ impl<T> CalendarQueue<T> {
             seq: 0,
             len: 0,
             wheel_len: 0,
-            buckets: (0..NUM_BUCKETS).map(|_| VecDeque::new()).collect(),
+            next: vec![NIL; NUM_BUCKETS],
+            tail: (0..FIRST_NODE).collect(),
+            times: vec![0; NUM_BUCKETS],
+            items: Vec::new(),
+            free: NIL,
             occupied: [0; WORDS],
             overflow: BinaryHeap::new(),
         }
@@ -157,8 +185,21 @@ impl<T> CalendarQueue<T> {
 
     #[inline]
     fn push_wheel(&mut self, time: u64, item: T) {
+        let n = if self.free == NIL {
+            self.items.push(Some(item));
+            self.next.push(NIL);
+            u32::try_from(self.next.len() - 1).expect("fewer than 2^32 - 1 queued events")
+        } else {
+            let n = self.free;
+            self.free = self.next[n as usize];
+            self.next[n as usize] = NIL;
+            self.items[(n - FIRST_NODE) as usize] = Some(item);
+            n
+        };
         let b = (time & MASK) as usize;
-        self.buckets[b].push_back((time, item));
+        self.next[self.tail[b] as usize] = n;
+        self.tail[b] = n;
+        self.times[b] = time;
         self.occupied[b / 64] |= 1u64 << (b % 64);
         self.wheel_len += 1;
     }
@@ -188,10 +229,19 @@ impl<T> CalendarQueue<T> {
             self.migrate();
         }
         let b = self.next_occupied();
-        let (time, item) = self.buckets[b].pop_front().expect("occupied bit set");
-        if self.buckets[b].is_empty() {
+        let n = self.next[b];
+        let after = self.next[n as usize];
+        self.next[b] = after;
+        if after == NIL {
+            self.tail[b] = b as u32;
             self.occupied[b / 64] &= !(1u64 << (b % 64));
         }
+        self.next[n as usize] = self.free;
+        self.free = n;
+        let time = self.times[b];
+        let item = self.items[(n - FIRST_NODE) as usize]
+            .take()
+            .expect("a chained node holds its entry");
         self.wheel_len -= 1;
         self.len -= 1;
         if time > self.base {
@@ -356,6 +406,9 @@ mod tests {
             next_v += 1;
         }
         assert!(last_t > 10 * NUM_BUCKETS as u64, "many revolutions");
+        // Popped nodes are reused: the slab holds no more nodes than
+        // entries were ever queued at once.
+        assert!(q.items.len() <= 3, "slab grew to {}", q.items.len());
     }
 
     #[test]

@@ -1,14 +1,32 @@
-//! Property tests for the dense line-index map that replaced the
-//! directory's per-access `HashMap` lookups: interning must agree with
-//! the old HashMap-keyed semantics for every access pattern, including
-//! lines first touched mid-run (the `OpIndexed` fallback path).
+//! Property tests for the directory's data structures against the
+//! standard-library containers they replaced: the dense line-index map
+//! must agree with the old HashMap-keyed semantics for every access
+//! pattern, including lines first touched mid-run (the `OpIndexed`
+//! fallback path), and the sharer bitset with a `BTreeSet<usize>`.
 
 use bounce_sim::cache::LineId;
 use bounce_sim::config::HomePolicy;
-use bounce_sim::directory::Directory;
+use bounce_sim::directory::{CoreSet, Directory};
 use bounce_topo::presets;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+
+/// One scripted step on a sharer set.
+#[derive(Debug, Clone)]
+enum SetOp {
+    Insert(usize),
+    Remove(usize),
+    Clear,
+}
+
+fn set_op() -> impl Strategy<Value = SetOp> {
+    // Clears are rare so the sets grow; ids up to 200 span four words.
+    (0u8..20, 0usize..=200).prop_map(|(arm, core)| match arm {
+        0 => SetOp::Clear,
+        1..=11 => SetOp::Insert(core),
+        _ => SetOp::Remove(core),
+    })
+}
 
 fn policy_from(raw: u8) -> HomePolicy {
     match raw % 3 {
@@ -99,10 +117,8 @@ proptest! {
             let idx = dir.lookup(line).unwrap();
             let legacy_owner = dir.get(line).unwrap().owner;
             prop_assert_eq!(dir.get_at(idx).owner, legacy_owner);
-            let legacy_sharers: Vec<usize> =
-                dir.get(line).unwrap().sharers.iter().copied().collect();
-            let dense_sharers: Vec<usize> =
-                dir.get_at(idx).sharers.iter().copied().collect();
+            let legacy_sharers: Vec<usize> = dir.get(line).unwrap().sharers.iter().collect();
+            let dense_sharers: Vec<usize> = dir.get_at(idx).sharers.iter().collect();
             prop_assert_eq!(dense_sharers, legacy_sharers);
         }
         // Eviction through the legacy API updates the dense view.
@@ -111,6 +127,40 @@ proptest! {
         if let Some(owner) = dir.get(probe).unwrap().owner {
             dir.evict_owner(probe, owner);
             prop_assert_eq!(dir.get_at(idx).owner, None);
+        }
+    }
+
+    /// The sharer bitset behaves as the `BTreeSet<usize>` it replaced:
+    /// same membership, length, ascending iteration order, successor
+    /// walk and `Debug` text after every insert, remove and clear.
+    #[test]
+    fn core_set_matches_btreeset(ops in proptest::collection::vec(set_op(), 1..300)) {
+        let mut set = CoreSet::default();
+        let mut model = BTreeSet::new();
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                SetOp::Insert(c) => prop_assert_eq!(set.insert(c), model.insert(c), "step {}", step),
+                SetOp::Remove(c) => prop_assert_eq!(set.remove(c), model.remove(&c), "step {}", step),
+                SetOp::Clear => {
+                    set.clear();
+                    model.clear();
+                }
+            }
+            for c in 0..=201 {
+                prop_assert_eq!(set.contains(c), model.contains(&c), "step {} core {}", step, c);
+            }
+            prop_assert_eq!(set.len(), model.len());
+            prop_assert_eq!(set.is_empty(), model.is_empty());
+            let members: Vec<usize> = set.iter().collect();
+            prop_assert_eq!(&members, &model.iter().copied().collect::<Vec<_>>());
+            let mut walked = Vec::new();
+            let mut next = set.next_from(0);
+            while let Some(c) = next {
+                walked.push(c);
+                next = set.next_from(c + 1);
+            }
+            prop_assert_eq!(&walked, &members);
+            prop_assert_eq!(format!("{set:?}"), format!("{model:?}"));
         }
     }
 }

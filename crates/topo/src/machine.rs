@@ -345,12 +345,14 @@ impl MachineTopology {
         freq_ghz: f64,
     ) -> Self {
         assert!(sockets > 0 && tiles_per_socket > 0 && cores_per_tile > 0 && smt > 0);
+        let tiles = sockets * tiles_per_socket;
+        let cores = tiles * cores_per_tile;
         let mut topo = MachineTopology {
             name: name.to_string(),
-            threads: Vec::new(),
-            cores: Vec::new(),
-            tiles: Vec::new(),
-            sockets: Vec::new(),
+            threads: Vec::with_capacity(cores * smt),
+            cores: Vec::with_capacity(cores),
+            tiles: Vec::with_capacity(tiles),
+            sockets: Vec::with_capacity(sockets),
             caches,
             interconnect,
             freq_ghz,

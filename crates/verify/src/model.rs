@@ -783,18 +783,16 @@ impl<'a> Checker<'a> {
     /// Directory view of the abstract state, for
     /// [`LineDir::check_invariants`].
     fn as_line_dir(&self, s: &AbsState) -> LineDir {
-        let mut dir = LineDir {
-            owner: s.owner.map(|o| o as usize),
-            forward: s.forward.map(|f| f as usize),
-            excl_in_flight: s.excl_in_flight().map(|c| Request {
-                thread: c,
-                core: c,
-                excl: true,
-                issued_at: 0,
-            }),
-            shared_in_flight: s.shared_in_flight(),
-            ..LineDir::default()
-        };
+        let mut dir = LineDir::default();
+        dir.owner = s.owner.map(|o| o as usize);
+        dir.forward = s.forward.map(|f| f as usize);
+        dir.excl_in_flight = s.excl_in_flight().map(|c| Request {
+            thread: c,
+            core: c,
+            excl: true,
+            issued_at: 0,
+        });
+        dir.shared_in_flight = s.shared_in_flight();
         for i in 0..self.n {
             if s.sharers & Self::bit(i) != 0 {
                 dir.sharers.insert(i);
