@@ -1,5 +1,12 @@
-//! Engine hot-path microbenchmark: raw simulator event throughput on a
-//! fixed high-contention workload.
+//! Engine hot-path microbenchmark: raw simulator event throughput on
+//! fixed FAA workloads, one per side of the hit/miss split.
+//!
+//! * `hc_faa_*` (high contention, one shared line): nearly every op
+//!   misses L1, so the directory queue, the service path and the event
+//!   queue do the work.
+//! * `lc_faa_*` (low contention, a private line per thread): every op
+//!   hits L1, so the interpreter, the L1-hit path (one set scan, no
+//!   hashing) and the event queue do the work.
 //!
 //! This is the single-thread counterpart of the parallel campaign
 //! speedup: it tracks the cost of the event loop itself (inline event
@@ -7,6 +14,7 @@
 //! independent of how many sweep points run concurrently. Engine
 //! construction is excluded from the timed region.
 
+use bounce_atomics::Primitive;
 use bounce_harness::experiments::Machine;
 use bounce_sim::{ArbitrationPolicy, Engine, SimConfig};
 use bounce_topo::Placement;
@@ -16,15 +24,29 @@ use std::time::Duration;
 
 const DURATION_CYCLES: u64 = 300_000;
 
-fn hc_engine(machine: Machine, n: usize) -> Engine {
+const HC_FAA: Workload = Workload::HighContention {
+    prim: Primitive::Faa,
+};
+
+const LC_FAA: Workload = Workload::LowContention {
+    prim: Primitive::Faa,
+    work: 0,
+};
+
+/// The timed cases: (label, workload, machine, threads).
+const CASES: [(&str, Workload, Machine, usize); 4] = [
+    ("hc_faa", HC_FAA, Machine::E5, 8),
+    ("hc_faa", HC_FAA, Machine::E5, 24),
+    ("hc_faa", HC_FAA, Machine::Knl, 8),
+    ("lc_faa", LC_FAA, Machine::Knl, 72),
+];
+
+fn engine(machine: Machine, w: &Workload, n: usize) -> Engine {
     let topo = machine.topo();
     let mut params = machine.sim_params();
     params.arbitration = ArbitrationPolicy::Fifo;
     params.home_policy = bounce_sim::HomePolicy::Fixed(0);
     let mut eng = Engine::new(&topo, SimConfig::new(params, DURATION_CYCLES));
-    let w = Workload::HighContention {
-        prim: bounce_atomics::Primitive::Faa,
-    };
     for (hw, p) in Placement::Packed
         .assign(&topo, n)
         .into_iter()
@@ -38,17 +60,15 @@ fn hc_engine(machine: Machine, n: usize) -> Engine {
 fn bench_engine_hotpath(c: &mut Criterion) {
     // One calibration pass so the events/sec figure is visible in plain
     // `cargo bench` output alongside criterion's ns/iter.
-    for (machine, n) in [(Machine::E5, 8), (Machine::Knl, 8)] {
-        let mut eng = hc_engine(machine, n);
+    for (label, w, machine, n) in &CASES {
+        let mut eng = engine(*machine, w, *n);
         let t0 = std::time::Instant::now();
         let report = eng.try_run().expect("run completes");
         let dt = t0.elapsed().as_secs_f64();
         println!(
-            "engine_hotpath calibration {}_n{}: {} events in {:.3}s = {:.2} M events/s",
+            "engine_hotpath calibration {label}_{}_n{n}: {} events in {dt:.3}s = {:.2} M events/s",
             machine.label(),
-            n,
             report.events,
-            dt,
             report.events as f64 / dt / 1e6
         );
     }
@@ -56,10 +76,10 @@ fn bench_engine_hotpath(c: &mut Criterion) {
     g.sample_size(10);
     g.warm_up_time(Duration::from_millis(300));
     g.measurement_time(Duration::from_secs(2));
-    for (machine, n) in [(Machine::E5, 8), (Machine::E5, 24), (Machine::Knl, 8)] {
-        g.bench_function(format!("hc_faa_{}_n{}", machine.label(), n), |b| {
+    for (label, w, machine, n) in &CASES {
+        g.bench_function(format!("{label}_{}_n{n}", machine.label()), |b| {
             b.iter_batched(
-                || hc_engine(machine, n),
+                || engine(*machine, w, *n),
                 |mut eng| eng.try_run().expect("run completes"),
                 BatchSize::LargeInput,
             )

@@ -71,6 +71,17 @@ struct Way {
     last_use: u64,
 }
 
+/// Where a present line sits in a [`SetAssocCache`], from
+/// [`SetAssocCache::find`]: one scan of the set locates the way, and the
+/// slot then reads and updates it without another. Valid until the
+/// cache next installs, invalidates or changes a state by line, any of
+/// which may move the set's ways.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    set: usize,
+    way: usize,
+}
+
 /// A set-associative cache of line *states* (data lives in the engine's
 /// value map — the simulator is coherence-accurate, not data-layout
 /// accurate).
@@ -99,20 +110,32 @@ impl SetAssocCache {
 
     /// Current state of `line` (Invalid when absent).
     pub fn state(&self, line: LineId) -> LineState {
-        let set = &self.sets[self.set_of(line)];
-        set.iter()
-            .find(|w| w.tag == line)
-            .map_or(LineState::Invalid, |w| w.state)
+        self.find(line)
+            .map_or(LineState::Invalid, |(_, state)| state)
     }
 
-    /// Touch `line` for LRU purposes (call on every hit).
-    pub fn touch(&mut self, line: LineId) {
+    /// `line`'s slot and state, or `None` when it is absent (Invalid).
+    #[inline]
+    pub fn find(&self, line: LineId) -> Option<(Slot, LineState)> {
+        let set = self.set_of(line);
+        let way = self.sets[set].iter().position(|w| w.tag == line)?;
+        Some((Slot { set, way }, self.sets[set][way].state))
+    }
+
+    /// Mark the line at `slot` most recently used (call on every hit).
+    #[inline]
+    pub fn touch_at(&mut self, slot: Slot) {
         self.stamp += 1;
-        let stamp = self.stamp;
-        let set_idx = self.set_of(line);
-        if let Some(w) = self.sets[set_idx].iter_mut().find(|w| w.tag == line) {
-            w.last_use = stamp;
-        }
+        self.sets[slot.set][slot.way].last_use = self.stamp;
+    }
+
+    /// Exclusive → Modified at `slot`: a write hit on the clean sole
+    /// copy, which needs no coherence transaction.
+    #[inline]
+    pub fn upgrade_at(&mut self, slot: Slot) {
+        let way = &mut self.sets[slot.set][slot.way];
+        debug_assert_eq!(way.state, LineState::Exclusive, "only E upgrades in place");
+        way.state = LineState::Modified;
     }
 
     /// Install `line` in `state`, evicting the LRU way if the set is
@@ -156,14 +179,13 @@ impl SetAssocCache {
 
     /// Change the state of a present line; no-op if absent.
     pub fn set_state(&mut self, line: LineId, state: LineState) {
-        let set_idx = self.set_of(line);
-        if let Some(w) = self.sets[set_idx].iter_mut().find(|w| w.tag == line) {
-            if state == LineState::Invalid {
-                let tag = w.tag;
-                self.sets[set_idx].retain(|w| w.tag != tag);
-            } else {
-                w.state = state;
-            }
+        let Some((Slot { set, way }, _)) = self.find(line) else {
+            return;
+        };
+        if state == LineState::Invalid {
+            self.sets[set].remove(way);
+        } else {
+            self.sets[set][way].state = state;
         }
     }
 
@@ -225,7 +247,8 @@ mod tests {
         let mut c = SetAssocCache::new(1, 2); // one set, two ways
         c.install(LineId(10), LineState::Shared);
         c.install(LineId(20), LineState::Shared);
-        c.touch(LineId(10)); // 20 is now LRU
+        let (slot, _) = c.find(LineId(10)).expect("10 is present");
+        c.touch_at(slot); // 20 is now LRU
         let evicted = c.install(LineId(30), LineState::Exclusive);
         assert_eq!(evicted, Some((LineId(20), LineState::Shared)));
         assert_eq!(c.state(LineId(10)), LineState::Shared);

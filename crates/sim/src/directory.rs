@@ -235,10 +235,11 @@ impl LineDir {
 /// Entries live in a **dense, interned table**: the first touch of a line
 /// assigns it a small `u32` index ([`Directory::intern`]) and precomputes
 /// its home tile; every later access is a plain vector index. The engine
-/// interns every address its programs name at load time and stores the
-/// index in its events, so the per-event hot path never hashes a
-/// `LineId`. Lines first touched mid-run (computed addresses) fall back
-/// to the same intern path and get an index on demand.
+/// interns every address its programs name when a thread is added,
+/// keeps each fixed-address step's index by pc and stores indices in its
+/// events, so neither issuing such a step nor handling an event hashes a
+/// `LineId`. Only a computed address (`OpIndexed`) goes through
+/// `intern` each time it is issued, and gets an index on first touch.
 ///
 /// The `LineId`-keyed methods (`entry`, `get`, `home_tile`, ...) remain
 /// as the compatibility surface; they resolve through the intern map.

@@ -108,10 +108,11 @@ impl<P: Probe> Engine<P> {
                     operand,
                     expected,
                 } => {
-                    let regs = self.threads[tid].regs;
-                    let operand = resolve(operand, &regs);
-                    let expected = resolve(expected, &regs);
-                    self.issue_op(tid, prim, addr, operand, expected, None);
+                    let t = &self.threads[tid];
+                    let operand = resolve(operand, &t.regs);
+                    let expected = resolve(expected, &t.regs);
+                    let op = CurOp::new(prim, addr, t.lines[pc], operand, expected, self.now);
+                    self.issue_op(tid, op);
                     return;
                 }
                 Step::OpIndexed {
@@ -131,55 +132,50 @@ impl<P: Probe> Engine<P> {
                         ),
                         word: base.word,
                     };
+                    let idx = self.line_idx(addr.line);
                     let operand = resolve(operand, &regs);
                     let expected = resolve(expected, &regs);
-                    self.issue_op(tid, prim, addr, operand, expected, None);
+                    let op = CurOp::new(prim, addr, idx, operand, expected, self.now);
+                    self.issue_op(tid, op);
                     return;
                 }
                 Step::SpinWhile { addr, pred } => {
-                    self.issue_op(tid, Primitive::Load, addr, 0, 0, Some(pred));
+                    let idx = self.threads[tid].lines[pc];
+                    let op = CurOp {
+                        spin: Some(pred),
+                        ..CurOp::new(Primitive::Load, addr, idx, 0, 0, self.now)
+                    };
+                    self.issue_op(tid, op);
                     return;
                 }
             }
         }
     }
 
-    fn issue_op(
-        &mut self,
-        tid: usize,
-        prim: Primitive,
-        addr: WordAddr,
-        operand: u64,
-        expected: u64,
-        spin: Option<SpinPred>,
-    ) {
+    /// Issue `op`: a hit completes locally, a miss sends a request to
+    /// the line's home directory.
+    fn issue_op(&mut self, tid: usize, mut op: CurOp) {
         let core = self.threads[tid].core;
-        let line = addr.line;
-        let idx = self.line_idx(line);
-        let state = self.caches[core].state(line);
-        let satisfied = if prim.needs_exclusive() {
-            state.writable()
-        } else {
-            state.readable()
-        };
-        let mut op = CurOp {
-            prim,
-            addr,
-            line_idx: idx,
-            operand,
-            expected,
-            issued_at: self.now,
-            spin,
-            outcome: None,
-        };
+        let (prim, idx, spin) = (op.prim, op.line_idx, op.spin);
+        let excl = prim.needs_exclusive();
+        debug_assert_eq!(self.dir.line_at(idx), op.addr.line, "stale line index");
+        // One scan of the L1 set; a hit then touches and upgrades
+        // through the slot it found.
+        let hit = self.caches[core].find(op.addr.line).filter(|&(_, state)| {
+            if excl {
+                state.writable()
+            } else {
+                state.readable()
+            }
+        });
         self.energy.ops_j += self.cfg.params.energy.op_nj * 1e-9;
-        if satisfied {
+        if let Some((slot, state)) = hit {
             // --- hit ---
-            self.caches[core].touch(line);
-            let upgrade = prim.needs_exclusive() && state == LineState::Exclusive;
+            self.caches[core].touch_at(slot);
+            let upgrade = excl && state == LineState::Exclusive;
             let pre = upgrade.then(|| self.probe_snapshot(idx, None)).flatten();
             if upgrade {
-                self.caches[core].set_state(line, LineState::Modified);
+                self.caches[core].upgrade_at(slot);
             }
             self.probe_emit(idx, Some(tid), core, Transition::Hit { upgrade }, pre);
             self.energy.cache_j += self.cfg.params.energy.l1_nj * 1e-9;
@@ -196,7 +192,7 @@ impl<P: Probe> Engine<P> {
             let start = self.line_busy[busy_at].max(self.now);
             let done =
                 start + self.cfg.params.l1_hit as u64 + self.cfg.params.exec_cost(prim) as u64;
-            if prim.needs_exclusive() {
+            if excl {
                 self.line_busy[busy_at] = done;
             }
             self.threads[tid].cur_op = Some(op);
@@ -204,7 +200,6 @@ impl<P: Probe> Engine<P> {
             self.schedule(done, Ev::OpComplete(tid));
         } else {
             // --- miss: request to the home directory ---
-            let excl = prim.needs_exclusive();
             self.probe_emit(idx, Some(tid), core, Transition::Miss { excl }, None);
             if spin.is_some() {
                 self.bump_spin_loads(tid);

@@ -119,10 +119,39 @@ struct CurOp {
     outcome: Option<OpOutcome>,
 }
 
+impl CurOp {
+    /// A plain op on `addr` (intern index `line_idx`) issued at `now`.
+    fn new(
+        prim: Primitive,
+        addr: WordAddr,
+        line_idx: u32,
+        operand: u64,
+        expected: u64,
+        now: u64,
+    ) -> Self {
+        CurOp {
+            prim,
+            addr,
+            line_idx,
+            operand,
+            expected,
+            issued_at: now,
+            spin: None,
+            outcome: None,
+        }
+    }
+}
+
+/// Entry of [`ThreadSt::lines`] at a pc whose step names no fixed line.
+const NO_LINE: u32 = u32::MAX;
+
 struct ThreadSt {
     hw: HwThreadId,
     core: usize,
     program: Program,
+    /// Intern index of the line each `Op` and `SpinWhile` step names,
+    /// by pc ([`NO_LINE`] at every other pc), resolved in `add_thread`.
+    lines: Box<[u32]>,
     pc: usize,
     regs: [u64; NUM_REGS],
     last_success: bool,
@@ -403,22 +432,22 @@ impl<P: Probe> Engine<P> {
             "hardware thread {hw:?} already occupied"
         );
         let core = self.topo.threads[hw.0].core.0;
-        // Intern every line the program names up front so the event loop
-        // runs on dense indices from the first cycle. Lines computed at
-        // run time (`OpIndexed`) intern lazily on first touch.
-        let mut i = 0;
-        while let Some(step) = program.step(i) {
-            match *step {
-                Step::Op { addr, .. } | Step::SpinWhile { addr, .. } => {
-                    self.line_idx(addr.line);
-                }
+        // Intern every line the program names up front and keep each
+        // fixed line's index by pc, so issuing an `Op` or `SpinWhile`
+        // never hashes. Lines computed at run time (`OpIndexed`) intern
+        // when issued.
+        let lines = program
+            .steps()
+            .iter()
+            .map(|step| match *step {
+                Step::Op { addr, .. } | Step::SpinWhile { addr, .. } => self.line_idx(addr.line),
                 Step::OpIndexed { base, .. } => {
                     self.line_idx(base.line);
+                    NO_LINE
                 }
-                _ => {}
-            }
-            i += 1;
-        }
+                _ => NO_LINE,
+            })
+            .collect();
         let report = ThreadReport {
             hw_thread: hw.0,
             ..ThreadReport::default()
@@ -427,6 +456,7 @@ impl<P: Probe> Engine<P> {
             hw,
             core,
             program,
+            lines,
             pc: 0,
             regs: [0; NUM_REGS],
             last_success: true,

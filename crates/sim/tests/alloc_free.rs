@@ -117,6 +117,17 @@ const HC_FAA: Workload = Workload::HighContention {
 };
 
 #[test]
+fn lc_faa_every_op_hits() {
+    // Private lines: every op is an L1 hit, so this pins the hit path.
+    let topo = presets::xeon_phi_7290();
+    let w = Workload::LowContention {
+        prim: Primitive::Faa,
+        work: 0,
+    };
+    assert_alloc_free(&topo, knl(ArbitrationPolicy::Fifo), w, 64);
+}
+
+#[test]
 fn hc_faa_fifo() {
     let topo = presets::xeon_phi_7290();
     assert_alloc_free(&topo, knl(ArbitrationPolicy::Fifo), HC_FAA, 64);
@@ -161,6 +172,18 @@ fn ttas_lock_handoff() {
     let topo = presets::xeon_e5_2695_v4();
     let w = Workload::LockHandoff {
         shape: LockShape::Ttas,
+        cs: 100,
+        noncs: 200,
+    };
+    assert_alloc_free(&topo, e5(CoherenceKind::Mesif), w, 16);
+}
+
+#[test]
+fn mcs_lock_handoff() {
+    // MCS queue nodes are `OpIndexed` lines, which intern when issued.
+    let topo = presets::xeon_e5_2695_v4();
+    let w = Workload::LockHandoff {
+        shape: LockShape::Mcs,
         cs: 100,
         noncs: 200,
     };

@@ -312,12 +312,14 @@ const STD_ATOMICS: [&str; 12] = [
 /// Directory/line-state mutators whose call sites the
 /// [`Rule::ConformBypass`] rule restricts to the instrumented
 /// transition helpers. `entry_at` hands out a `&mut` directory entry;
-/// the rest mutate L1 line state or the sharer/owner book-keeping.
-const CONFORM_MUTATORS: [&str; 6] = [
+/// the rest mutate L1 line state (`upgrade_at` is the hit path's
+/// in-place E→M write upgrade) or the sharer/owner book-keeping.
+const CONFORM_MUTATORS: [&str; 7] = [
     "entry_at",
     "evict_owner",
     "evict_sharer",
     "set_state",
+    "upgrade_at",
     "invalidate",
     "install",
 ];
@@ -763,6 +765,27 @@ mod tests {
         assert!(f[0].message.contains("sneaky_fixup"));
         // Off by default.
         assert!(scan_file(Path::new("service.rs"), src).is_empty());
+    }
+
+    #[test]
+    fn flags_in_place_upgrade_outside_issue_op() {
+        let opts = Options {
+            conform_bypass: true,
+            ..Options::default()
+        };
+        let src = "\
+            impl Engine {\n\
+                fn issue_op(&mut self, core: usize) {\n\
+                    self.caches[core].upgrade_at(slot);\n\
+                }\n\
+                fn quiet_upgrade(&mut self, core: usize) {\n\
+                    self.caches[core].upgrade_at(slot);\n\
+                }\n\
+            }\n";
+        let f = scan_file_opts(Path::new("interp.rs"), src, opts);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), (Rule::ConformBypass, 6));
+        assert!(f[0].message.contains("`upgrade_at`") && f[0].message.contains("quiet_upgrade"));
     }
 
     #[test]
