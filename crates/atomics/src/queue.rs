@@ -164,6 +164,7 @@ unsafe impl<T: Send, C: CellModel> Sync for MsQueue<T, C> {}
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::thread;
 
@@ -196,25 +197,30 @@ mod tests {
             }));
         }
         let consumed = Arc::new(std::sync::Mutex::new(HashSet::new()));
+        // Items taken by both consumers together. Each stops once every
+        // item is taken: a per-consumer quota would strand the other
+        // consumer whenever one takes more than its share. `Relaxed`:
+        // the count publishes no data, the queue hands over the items.
+        let taken = Arc::new(AtomicU64::new(0)); // detlint: allow(direct-atomic): test harness count
         for _ in 0..2 {
             let q = Arc::clone(&q);
             let consumed = Arc::clone(&consumed);
+            let taken = Arc::clone(&taken);
             handles.push(thread::spawn(move || {
                 let mut local = HashSet::new();
-                loop {
+                while taken.load(Ordering::Relaxed) < producers * per {
                     match q.dequeue() {
                         Some((v, _)) => {
                             assert!(local.insert(v));
+                            taken.fetch_add(1, Ordering::Relaxed);
                         }
-                        None => {
-                            if local.len() as u64 >= per {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
+                        None => std::thread::yield_now(),
                     }
                 }
-                consumed.lock().unwrap().extend(local);
+                let mut consumed = consumed.lock().unwrap();
+                let expected = consumed.len() + local.len();
+                consumed.extend(local);
+                assert_eq!(consumed.len(), expected, "an item was dequeued twice");
             }));
         }
         for h in handles {

@@ -85,27 +85,35 @@ pub struct Slot {
 /// A set-associative cache of line *states* (data lives in the engine's
 /// value map — the simulator is coherence-accurate, not data-layout
 /// accurate).
+///
+/// The sets are built on the first [`install`](Self::install): a core
+/// that never holds a line costs no allocation, and until then every
+/// line reads Invalid.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
+    /// Empty until the first install, then `mask + 1` sets.
     sets: Vec<Vec<Way>>,
+    /// Set count minus one (the count is a power of two).
+    mask: usize,
     ways: usize,
     stamp: u64,
 }
 
 impl SetAssocCache {
-    /// A cache with `sets` sets of `ways` ways.
+    /// A cache with `sets` sets of `ways` ways. Allocates nothing.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two(), "sets must be a power of two");
         assert!(ways >= 1);
         SetAssocCache {
-            sets: vec![Vec::with_capacity(ways); sets],
+            sets: Vec::new(),
+            mask: sets - 1,
             ways,
             stamp: 0,
         }
     }
 
     fn set_of(&self, line: LineId) -> usize {
-        (line.0 as usize) & (self.sets.len() - 1)
+        (line.0 as usize) & self.mask
     }
 
     /// Current state of `line` (Invalid when absent).
@@ -118,8 +126,9 @@ impl SetAssocCache {
     #[inline]
     pub fn find(&self, line: LineId) -> Option<(Slot, LineState)> {
         let set = self.set_of(line);
-        let way = self.sets[set].iter().position(|w| w.tag == line)?;
-        Some((Slot { set, way }, self.sets[set][way].state))
+        let ways = self.sets.get(set)?;
+        let way = ways.iter().position(|w| w.tag == line)?;
+        Some((Slot { set, way }, ways[way].state))
     }
 
     /// Mark the line at `slot` most recently used (call on every hit).
@@ -142,6 +151,9 @@ impl SetAssocCache {
     /// full. Returns the evicted line and its state, if any.
     pub fn install(&mut self, line: LineId, state: LineState) -> Option<(LineId, LineState)> {
         debug_assert!(state != LineState::Invalid, "install Invalid is remove");
+        if self.sets.is_empty() {
+            self.sets = vec![Vec::new(); self.mask + 1];
+        }
         self.stamp += 1;
         let stamp = self.stamp;
         let ways = self.ways;
@@ -276,6 +288,28 @@ mod tests {
         // Line 4 collides with line 0.
         let e = c.install(LineId(4), LineState::Shared);
         assert_eq!(e, Some((LineId(0), LineState::Shared)));
+    }
+
+    #[test]
+    fn new_cache_holds_nothing_until_the_first_install() {
+        let mut c = SetAssocCache::new(4, 2);
+        for l in 0..8 {
+            assert!(c.find(LineId(l)).is_none());
+            assert_eq!(c.state(LineId(l)), LineState::Invalid);
+        }
+        c.set_state(LineId(1), LineState::Modified);
+        c.invalidate(LineId(2));
+        assert_eq!(c.state(LineId(1)), LineState::Invalid);
+        assert_eq!(c.occupancy(), 0);
+        // The first install behaves as on a cache whose sets exist.
+        assert!(c.install(LineId(1), LineState::Exclusive).is_none());
+        assert!(c.install(LineId(5), LineState::Shared).is_none());
+        assert_eq!(
+            c.install(LineId(9), LineState::Shared),
+            Some((LineId(1), LineState::Exclusive))
+        );
+        assert_eq!(c.state(LineId(5)), LineState::Shared);
+        assert_eq!(c.occupancy(), 2);
     }
 
     #[test]

@@ -15,16 +15,18 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 /// A coherence request waiting at (or being serviced by) the directory.
+///
+/// 12 bytes: every event that carries one, and every directory queue
+/// entry, copies it. Indices are `u32` because the topology bounds
+/// them; handlers widen them back to `usize` to index.
 #[derive(Debug, Clone, Copy)]
 pub struct Request {
     /// Simulated-thread index of the requester.
-    pub thread: usize,
+    pub thread: u32,
     /// Core index of the requester.
-    pub core: usize,
+    pub core: u32,
     /// True for GetM (exclusive / RFO), false for GetS (read).
     pub excl: bool,
-    /// Simulation time the op was issued (for queueing-latency stats).
-    pub issued_at: u64,
 }
 
 /// A set of core ids, kept as a bitset: bit `c % 64` of word `c / 64`
@@ -462,7 +464,6 @@ mod tests {
             thread,
             core: thread,
             excl,
-            issued_at: 0,
         };
         let mut e = LineDir::default();
         for (t, excl) in [(0, false), (1, true), (2, false), (3, true)] {

@@ -35,7 +35,7 @@ impl<P: Probe> Engine<P> {
                 // cost on a deep queue.
                 let (mut best, mut pick) = (u32::MAX, 0);
                 for (i, r) in entry.queue().iter().enumerate() {
-                    let h = self.hops(anchor, self.tile_of_core(r.core));
+                    let h = self.hops(anchor, self.tile_of_core(r.core as usize));
                     if h < best {
                         (best, pick) = (h, i);
                     }

@@ -23,7 +23,7 @@ impl<P: Probe> Engine<P> {
             if let Some(resume_at) = fs.check_preempt(tid, self.now) {
                 self.threads[tid].status = Status::Waiting;
                 let t = resume_at.max(self.now + 1);
-                self.schedule(t, Ev::Resume(tid));
+                self.schedule(t, Ev::Resume(tid as u32));
                 return;
             }
         }
@@ -35,7 +35,7 @@ impl<P: Probe> Engine<P> {
                 // Defensive bound against pathological programs: yield one
                 // cycle and continue later.
                 let t = self.now + 1;
-                self.schedule(t, Ev::Resume(tid));
+                self.schedule(t, Ev::Resume(tid as u32));
                 return;
             }
             let pc = self.threads[tid].pc;
@@ -55,7 +55,7 @@ impl<P: Probe> Engine<P> {
                         None => k,
                     };
                     let t = self.now + k;
-                    self.schedule(t, Ev::Resume(tid));
+                    self.schedule(t, Ev::Resume(tid as u32));
                     return;
                 }
                 Step::SetRegFromPrev(r) => {
@@ -197,7 +197,7 @@ impl<P: Probe> Engine<P> {
             }
             self.threads[tid].cur_op = Some(op);
             self.threads[tid].status = Status::Waiting;
-            self.schedule(done, Ev::OpComplete(tid));
+            self.schedule(done, Ev::OpComplete(tid as u32));
         } else {
             // --- miss: request to the home directory ---
             self.probe_emit(idx, Some(tid), core, Transition::Miss { excl }, None);
@@ -213,10 +213,9 @@ impl<P: Probe> Engine<P> {
             let wire = self.charge_hops(from, home) as u64;
             let arrive = self.now + self.cfg.params.req_overhead as u64 + wire;
             let req = Request {
-                thread: tid,
-                core,
+                thread: tid as u32,
+                core: core as u32,
                 excl,
-                issued_at: self.now,
             };
             self.schedule(arrive, Ev::DirArrival(idx, req));
         }
@@ -262,7 +261,7 @@ impl<P: Probe> Engine<P> {
         for tid in list.drain(..) {
             // Small propagation delay before the spinner re-checks.
             let t = self.now + 1;
-            self.schedule(t, Ev::Resume(tid));
+            self.schedule(t, Ev::Resume(tid as u32));
         }
         self.waiters[idx as usize] = list;
     }

@@ -71,17 +71,19 @@ const WORDS_PER_LINE: usize = 8;
 /// entries — no payload side-table, no free-list, no per-event
 /// allocation. Line events carry the line's dense intern index (see
 /// [`Directory::intern`]), not the `LineId`, so handlers index straight
-/// into the per-line tables.
+/// into the per-line tables. Thread indices are `u32` like the line
+/// index, which keeps the whole event at 20 bytes: every `schedule`
+/// and `pop` copies one.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// Run the thread's interpreter.
-    Resume(usize),
+    Resume(u32),
     /// A request reaches the home directory (interned line index).
     DirArrival(u32, Request),
     /// The in-service transaction on a line completes (interned index).
     ServiceDone(u32, Request),
     /// An op finishes at the requester (accounting + continue).
-    OpComplete(usize),
+    OpComplete(u32),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -606,7 +608,7 @@ impl<P: Probe> Engine<P> {
         }
         // Kick off every thread at t=0.
         for tid in 0..self.threads.len() {
-            self.schedule(0, Ev::Resume(tid));
+            self.schedule(0, Ev::Resume(tid as u32));
         }
         if self.cfg.params.faults.enabled() && self.faults.is_none() {
             self.faults = Some(FaultState::new(
@@ -709,10 +711,10 @@ impl<P: Probe> Engine<P> {
             self.now = time;
             self.events_processed += 1;
             match ev {
-                Ev::Resume(tid) => self.run_thread(tid),
+                Ev::Resume(tid) => self.run_thread(tid as usize),
                 Ev::DirArrival(line, req) => self.dir_arrival(line, req),
                 Ev::ServiceDone(line, req) => self.service_done(line, req),
-                Ev::OpComplete(tid) => self.op_complete(tid),
+                Ev::OpComplete(tid) => self.op_complete(tid as usize),
             }
             if let Some(e) = self.retry_storm.take() {
                 break Err(*e);

@@ -20,10 +20,11 @@ use bounce_topo::{Domain, TileId};
 impl<P: Probe> Engine<P> {
     pub(super) fn dir_arrival(&mut self, idx: u32, req: Request) {
         self.energy.directory_j += self.cfg.params.energy.dir_nj * 1e-9;
+        let (tid, core) = (req.thread as usize, req.core as usize);
         // A re-arrival after a NACK is not a new abstract request: it
         // was recorded as queued on its first arrival and has stayed
         // queued (absorbing NACKs) ever since.
-        let first_arrival = self.retry_count.get(req.thread).is_none_or(|&c| c == 0);
+        let first_arrival = self.retry_count.get(tid).is_none_or(|&c| c == 0);
         if self.fabric.is_some() && !self.fabric_admit(idx, &req) {
             return;
         }
@@ -31,7 +32,7 @@ impl<P: Probe> Engine<P> {
         self.dir.entry_at(idx).enqueue(req);
         if first_arrival {
             let queue = Transition::Queue { excl: req.excl };
-            self.probe_emit(idx, Some(req.thread), req.core, queue, pre);
+            self.probe_emit(idx, Some(tid), core, queue, pre);
         }
         self.pump(idx);
     }
@@ -50,19 +51,19 @@ impl<P: Probe> Engine<P> {
             let fb = self.fabric.as_mut().expect("fabric state present");
             fb.refuses(bank, pending)
         };
+        let (tid, core) = (req.thread as usize, req.core as usize);
         if !refused {
             self.bank_pending[bank] += 1;
-            self.retry_count[req.thread] = 0;
+            self.retry_count[tid] = 0;
             return true;
         }
-        let tid = req.thread;
         // First refusal of a fresh transaction: abstractly the request
         // joins the queue *and then* gets NACKed — record the queue step
         // before the NACK so the trace refines the model's order.
         if self.retry_count[tid] == 0 {
             let pre = self.probe_snapshot(idx, None);
             let queue = Transition::Queue { excl: req.excl };
-            self.probe_emit(idx, Some(tid), req.core, queue, pre);
+            self.probe_emit(idx, Some(tid), core, queue, pre);
         }
         if let Some(fb) = self.fabric.as_mut() {
             fb.nacks += 1;
@@ -74,7 +75,7 @@ impl<P: Probe> Engine<P> {
             excl: req.excl,
             attempt,
         };
-        self.probe_emit(idx, Some(tid), req.core, nack, pre);
+        self.probe_emit(idx, Some(tid), core, nack, pre);
         let policy = self.cfg.params.retry;
         if attempt > policy.max_retries {
             self.retry_storm = Some(Box::new(self.retry_storm_error(idx, pending)));
@@ -90,7 +91,7 @@ impl<P: Probe> Engine<P> {
         // request travels requester→home after the backoff wait; both
         // legs pay wire latency and hop energy like any other message.
         let home = self.dir.home_of(idx);
-        let req_tile = self.tile_of_core(req.core);
+        let req_tile = self.tile_of_core(core);
         let nack_leg = self.charge_hops(home, req_tile) as u64;
         let resend_leg = self.charge_hops(req_tile, home) as u64;
         let delay = nack_leg + policy.backoff_cycles(attempt) + resend_leg;
@@ -154,7 +155,8 @@ impl<P: Probe> Engine<P> {
                 queue_len,
                 bounce,
             };
-            self.probe_emit(idx, Some(req.thread), req.core, start, pre);
+            let (tid, core) = (req.thread as usize, req.core as usize);
+            self.probe_emit(idx, Some(tid), core, start, pre);
             let t = self.now + latency;
             self.schedule(t, Ev::ServiceDone(idx, req));
             if req.excl {
@@ -172,13 +174,13 @@ impl<P: Probe> Engine<P> {
     /// demotes and whether it keeps directory ownership (MOESI's Owned
     /// state does, MESI(F) dissolves it into the sharer set).
     fn depart_line(&mut self, idx: u32, req: &Request) -> Option<(usize, Domain)> {
-        let tid = req.thread;
+        let (tid, core) = (req.thread as usize, req.core as usize);
         let mut bounce = None;
         let line = self.dir.line_at(idx);
         let owner = self.dir.get_at(idx).owner;
         if req.excl {
             if let Some(o) = owner {
-                if o != req.core {
+                if o != core {
                     // Record the bounce (ownership transfer between cores).
                     let d = self
                         .topo
@@ -190,7 +192,7 @@ impl<P: Probe> Engine<P> {
                 }
             }
             for s in self.dir.get_at(idx).sharers.iter() {
-                if s != req.core {
+                if s != core {
                     self.caches[s].invalidate(line);
                     self.invalidations += 1;
                 }
@@ -206,7 +208,7 @@ impl<P: Probe> Engine<P> {
                 let demotion = self
                     .protocol
                     .demote_owner_on_read(self.caches[o].state(line));
-                if o != req.core {
+                if o != core {
                     self.caches[o].set_state(line, demotion.to);
                 }
                 if !demotion.retains_ownership {
@@ -227,7 +229,8 @@ impl<P: Probe> Engine<P> {
         let dir_lookup = self.cfg.params.dir_lookup as u64;
         let inv_nj = self.cfg.params.energy.inv_nj;
         let home = self.dir.home_of(idx);
-        let req_tile = self.tile_of_core(req.core);
+        let core = req.core as usize;
+        let req_tile = self.tile_of_core(core);
         let (owner, forward) = {
             let e = self.dir.get_at(idx);
             (e.owner, e.forward)
@@ -243,7 +246,7 @@ impl<P: Probe> Engine<P> {
             let mut inv_far = 0u64;
             let mut next = self.dir.get_at(idx).sharers.next_from(0);
             while let Some(s) = next {
-                if s != req.core {
+                if s != core {
                     let st = self.tile_of_core(s);
                     inv_far = inv_far.max(self.wire(home, st) as u64);
                     let _ = self.charge_hops(home, st);
@@ -251,11 +254,11 @@ impl<P: Probe> Engine<P> {
                 }
                 next = self.dir.get_at(idx).sharers.next_from(s + 1);
             }
-            let source = self.protocol.write_source(owner, forward, req.core);
+            let source = self.protocol.write_source(owner, forward, core);
             let data = self.data_leg(idx, source, req_tile);
             lat += inv_far.max(data);
         } else {
-            let source = self.protocol.read_source(owner, forward, req.core);
+            let source = self.protocol.read_source(owner, forward, core);
             lat += self.data_leg(idx, source, req_tile);
         }
         lat
@@ -322,39 +325,39 @@ impl<P: Probe> Engine<P> {
             let bank = self.dir.home_of(idx).0;
             self.bank_pending[bank] = self.bank_pending[bank].saturating_sub(1);
         }
-        let tid = req.thread;
+        let (tid, core) = (req.thread as usize, req.core as usize);
         let pre = self.probe_snapshot(idx, None);
         // --- arrival transitions (departures already ran at service
         //     start, see `depart_line`) ---
         if req.excl {
             let e = self.dir.entry_at(idx);
-            e.owner = Some(req.core);
+            e.owner = Some(core);
             e.sharers.clear();
             e.forward = None;
-            self.install(req.core, line, LineState::Modified);
+            self.install(core, line, LineState::Modified);
         } else {
             let (state, take_forward) = self.protocol.read_install();
             let old_forward = {
                 let e = self.dir.entry_at(idx);
                 let old = if take_forward {
-                    e.forward.replace(req.core)
+                    e.forward.replace(core)
                 } else {
                     None
                 };
-                e.sharers.insert(req.core);
+                e.sharers.insert(core);
                 old
             };
             // The previous Forward holder demotes to plain S in its own
             // cache (it stays a sharer).
             if let Some(old_f) = old_forward {
-                if old_f != req.core {
+                if old_f != core {
                     self.caches[old_f].set_state(line, LineState::Shared);
                 }
             }
-            self.install(req.core, line, state);
+            self.install(core, line, state);
         }
         let done = Transition::ServiceDone { excl: req.excl };
-        self.probe_emit(idx, Some(tid), req.core, done, pre);
+        self.probe_emit(idx, Some(tid), core, done, pre);
         // Each transaction must leave the directory entry in a state the
         // protocol's invariants accept (owner/sharer/forward exclusivity
         // rules differ per protocol). Debug builds check at every
@@ -376,7 +379,7 @@ impl<P: Probe> Engine<P> {
         let done = self.now
             + self.cfg.params.install_cost as u64
             + self.cfg.params.exec_cost(op.prim) as u64;
-        self.schedule(done, Ev::OpComplete(tid));
+        self.schedule(done, Ev::OpComplete(req.thread));
         // --- next transaction(s) on this line ---
         self.pump(idx);
     }

@@ -35,6 +35,16 @@ fn run_uniform(
 }
 
 #[test]
+fn event_payloads_stay_small() {
+    // Every `schedule` and `pop` copies an `Ev`, and every directory
+    // queue entry is a `Request`: a field added to either slows every
+    // event.
+    let (ev, req) = (size_of::<Ev>(), size_of::<Request>());
+    assert!(ev <= 24, "Ev is {ev} B");
+    assert!(req <= 12, "Request is {req} B");
+}
+
+#[test]
 fn single_thread_faa_accumulates() {
     let topo = tiny();
     let mut eng = Engine::new(&topo, cfg(200_000));

@@ -3,9 +3,11 @@
 //! allocations made inside `Engine::try_run`: its tables, queues and
 //! lists grow to their peak early in a run and are reused after, so
 //! doubling the run may add a few allocations (a slightly higher peak)
-//! but none in proportion to the events processed.
+//! but none in proportion to the events processed. A core's L1 sets
+//! are built on its first install, so a new cache allocates nothing.
 
 use bounce_atomics::Primitive;
+use bounce_sim::cache::SetAssocCache;
 use bounce_sim::{ArbitrationPolicy, CoherenceKind, Engine, SimConfig, SimParams};
 use bounce_topo::{presets, MachineTopology, Placement};
 use bounce_workloads::{LockShape, Workload};
@@ -115,6 +117,15 @@ fn e5(protocol: CoherenceKind) -> SimParams {
 const HC_FAA: Workload = Workload::HighContention {
     prim: Primitive::Faa,
 };
+
+#[test]
+fn new_cache_allocates_nothing() {
+    let before = ALLOCS.with(Cell::get);
+    let cache = SetAssocCache::new(64, 8);
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(cache.occupancy(), 0);
+    assert_eq!(allocs, 0, "a new 64-set cache made {allocs} allocations");
+}
 
 #[test]
 fn lc_faa_every_op_hits() {

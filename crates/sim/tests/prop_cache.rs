@@ -2,7 +2,8 @@
 //! LRU that keeps each set as a list ordered from least to most recently
 //! used, through random installs, hits found by one lookup (touch, with
 //! and without the in-place E→M upgrade), `set_state` and `invalidate`,
-//! over 1–4 sets and 1–4 ways.
+//! over 1–4 sets and 1–4 ways. Each sequence may open with lookups and
+//! invalidations on the never-installed cache, which has no sets yet.
 
 use bounce_sim::cache::{LineId, LineState, SetAssocCache};
 use proptest::prelude::*;
@@ -35,7 +36,16 @@ enum Op {
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    (0u8..6, 0..LINES, 0usize..6).prop_map(|(arm, line, state)| {
+    op_of(0..6)
+}
+
+/// A step that installs nothing: a lookup, state change or invalidation.
+fn lookup() -> impl Strategy<Value = Op> {
+    op_of(2..6)
+}
+
+fn op_of(arms: std::ops::Range<u8>) -> impl Strategy<Value = Op> {
+    (arms, 0..LINES, 0usize..6).prop_map(|(arm, line, state)| {
         let line = LineId(line);
         match arm {
             0 | 1 => Op::Install(line, STATES[state % 5]),
@@ -123,12 +133,13 @@ proptest! {
     fn cache_matches_reference_lru(
         sets_log2 in 0u32..3,
         ways in 1usize..5,
+        opening in proptest::collection::vec(lookup(), 0..8),
         ops in proptest::collection::vec(op(), 1..300),
     ) {
         let sets = 1usize << sets_log2;
         let mut cache = SetAssocCache::new(sets, ways);
         let mut model = Model { sets: vec![Vec::new(); sets], ways };
-        for (step, op) in ops.iter().enumerate() {
+        for (step, op) in opening.iter().chain(&ops).enumerate() {
             match *op {
                 Op::Install(line, state) => {
                     let victim = cache.install(line, state);

@@ -787,10 +787,9 @@ impl<'a> Checker<'a> {
         dir.owner = s.owner.map(|o| o as usize);
         dir.forward = s.forward.map(|f| f as usize);
         dir.excl_in_flight = s.excl_in_flight().map(|c| Request {
-            thread: c,
-            core: c,
+            thread: c as u32,
+            core: c as u32,
             excl: true,
-            issued_at: 0,
         });
         dir.shared_in_flight = s.shared_in_flight();
         for i in 0..self.n {
