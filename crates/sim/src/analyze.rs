@@ -35,6 +35,7 @@
 use crate::cache::WordAddr;
 use crate::program::{Program, ProgramError, Step, NUM_REGS};
 use std::fmt;
+use std::ops::Range;
 
 /// A defect found by the workload-IR analyzer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,26 +132,20 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Successor step indices of step `i`. A fall-through past the last step
-/// halts the thread, so it contributes no successor.
-fn successors(steps: &[Step], i: usize) -> Vec<usize> {
-    let n = steps.len();
-    let next = |v: &mut Vec<usize>| {
-        if i + 1 < n {
-            v.push(i + 1);
-        }
-    };
-    let mut v = Vec::with_capacity(2);
-    match steps[i] {
-        Step::Goto(t) => v.push(t),
+/// Successor step indices of step `i`, a branch's target first. A
+/// fall-through past the last step halts the thread, so it contributes
+/// no successor.
+fn successors(steps: &[Step], i: usize) -> impl Iterator<Item = usize> {
+    let next = (i + 1 < steps.len()).then_some(i + 1);
+    let succ = match steps[i] {
+        Step::Goto(t) => [Some(t), None],
         Step::BranchIfFail(t) | Step::BranchIfSuccess(t) | Step::BranchIfRegZero(_, t) => {
-            v.push(t);
-            next(&mut v);
+            [Some(t), next]
         }
-        Step::Halt => {}
-        _ => next(&mut v),
-    }
-    v
+        Step::Halt => [None, None],
+        _ => [next, None],
+    };
+    succ.into_iter().flatten()
 }
 
 /// Whether executing the step advances simulated time (breaks a
@@ -181,14 +176,14 @@ fn written_reg(s: &Step) -> Option<u8> {
     }
 }
 
-/// Registers the step reads in an *address or control* position (value
-/// operands are exempt — see the module docs).
-fn control_reads(s: &Step) -> Vec<u8> {
+/// Register the step reads in an *address or control* position, if any
+/// (value operands are exempt — see the module docs).
+fn control_read(s: &Step) -> Option<u8> {
     match s {
-        Step::OpIndexed { reg, .. } => vec![*reg],
-        Step::BranchIfRegZero(r, _) => vec![*r],
-        Step::RegAdd { src, .. } => vec![*src],
-        _ => Vec::new(),
+        Step::OpIndexed { reg, .. } => Some(*reg),
+        Step::BranchIfRegZero(r, _) => Some(*r),
+        Step::RegAdd { src, .. } => Some(*src),
+        _ => None,
     }
 }
 
@@ -213,35 +208,65 @@ pub fn analyze_steps(steps: &[Step]) -> Vec<AnalysisError> {
 
 /// Analyze a whole workload: every program individually, plus the
 /// cross-program spin-liveness check. Program `i` is thread `i`.
+///
+/// The diagnostics are those of analyzing each program on its own, in
+/// thread order, but the work is done per body: threads running the
+/// same step list (usually clones of one [`Program`]) come in runs, and
+/// both the CFG passes and the spin check run once per run.
 pub fn analyze_workload(programs: &[&Program]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (i, p) in programs.iter().enumerate() {
-        for e in analyze_program(p) {
-            out.push(Diagnostic {
-                thread: i,
-                error: e,
-            });
-        }
+    for (threads, body) in bodies(programs) {
+        tag(&mut out, threads, &analyze_program(body));
     }
-    // Spin liveness: collect every write target in the workload, then
-    // require each SpinWhile word to be covered by one.
-    for (i, p) in programs.iter().enumerate() {
-        for (si, s) in p.steps().iter().enumerate() {
-            if let Step::SpinWhile { addr, .. } = s {
-                let written = programs.iter().any(|q| program_writes_word(q, *addr));
-                if !written {
-                    out.push(Diagnostic {
-                        thread: i,
-                        error: AnalysisError::SpinTargetNeverWritten {
-                            step: si,
-                            addr: *addr,
-                        },
-                    });
+    // Spin liveness: every SpinWhile word must be covered by a write
+    // target of some body.
+    for (threads, body) in bodies(programs) {
+        let dead: Vec<AnalysisError> = body
+            .steps()
+            .iter()
+            .enumerate()
+            .filter_map(|(step, s)| match *s {
+                Step::SpinWhile { addr, .. }
+                    if !bodies(programs).any(|(_, q)| program_writes_word(q, addr)) =>
+                {
+                    Some(AnalysisError::SpinTargetNeverWritten { step, addr })
                 }
-            }
-        }
+                _ => None,
+            })
+            .collect();
+        tag(&mut out, threads, &dead);
     }
     out
+}
+
+/// Append `errs` to `out` once for each thread in `threads`.
+fn tag(out: &mut Vec<Diagnostic>, threads: Range<usize>, errs: &[AnalysisError]) {
+    if errs.is_empty() {
+        return;
+    }
+    for thread in threads {
+        out.extend(errs.iter().map(|e| Diagnostic {
+            thread,
+            error: e.clone(),
+        }));
+    }
+}
+
+/// The runs of consecutive programs with equal step lists, as (thread
+/// indices, body). Clones of one [`Program`] compare by pointer.
+fn bodies<'a>(
+    programs: &'a [&'a Program],
+) -> impl Iterator<Item = (Range<usize>, &'a Program)> + 'a {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let body = *programs.get(start)?;
+        let len = programs[start..]
+            .iter()
+            .take_while(|p| std::ptr::eq(p.steps(), body.steps()) || p.steps() == body.steps())
+            .count();
+        start += len;
+        Some((start - len..start, body))
+    })
 }
 
 /// Whether any step of `p` can write `addr`. Direct ops match the exact
@@ -285,15 +310,13 @@ fn cfg_errors(steps: &[Step]) -> Vec<AnalysisError> {
         }
     }
 
-    // Predecessors, restricted to the reachable subgraph.
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, r) in reach.iter().enumerate() {
-        if *r {
-            for s in successors(steps, i) {
-                preds[s].push(i);
-            }
-        }
-    }
+    // Edges of the reachable subgraph as (successor, predecessor),
+    // grouped by successor.
+    let mut edges: Vec<(usize, usize)> = (0..n)
+        .filter(|&i| reach[i])
+        .flat_map(|i| successors(steps, i).map(move |s| (s, i)))
+        .collect();
+    edges.sort_unstable();
 
     // Must-analyses over the reachable subgraph, to fixpoint. `op_in[i]`
     // = "an op has executed on every path reaching i"; `wr_in[i]` = per-
@@ -313,13 +336,14 @@ fn cfg_errors(steps: &[Step]) -> Vec<AnalysisError> {
     let mut changed = true;
     while changed {
         changed = false;
-        for i in 0..n {
-            if !reach[i] || i == 0 {
+        for preds in edges.chunk_by(|a, b| a.0 == b.0) {
+            let i = preds[0].0;
+            if i == 0 {
                 continue;
             }
             let mut op = true;
             let mut wr = [true; NUM_REGS];
-            for &p in &preds[i] {
+            for &(_, p) in preds {
                 op &= transfer_op(p, op_in[p]);
                 let pw = transfer_wr(p, wr_in[p]);
                 for (a, b) in wr.iter_mut().zip(pw) {
@@ -344,7 +368,7 @@ fn cfg_errors(steps: &[Step]) -> Vec<AnalysisError> {
         if consumes_outcome && !op_in[i] {
             errs.push(AnalysisError::NoDominatingOp { step: i });
         }
-        for r in control_reads(&steps[i]) {
+        if let Some(r) = control_read(&steps[i]) {
             if !wr_in[i][r as usize] {
                 errs.push(AnalysisError::ReadBeforeWrite { step: i, reg: r });
             }
@@ -354,7 +378,7 @@ fn cfg_errors(steps: &[Step]) -> Vec<AnalysisError> {
     // Zero-cost cycles: SCCs of the reachable subgraph with a cycle but
     // no time-consuming step.
     for scc in sccs(steps, &reach) {
-        let cyclic = scc.len() > 1 || successors(steps, scc[0]).contains(&scc[0]);
+        let cyclic = scc.len() > 1 || successors(steps, scc[0]).any(|s| s == scc[0]);
         if cyclic && !scc.iter().any(|&i| consumes_time(&steps[i])) {
             let mut steps_sorted = scc.clone();
             steps_sorted.sort_unstable();
@@ -405,9 +429,7 @@ fn sccs(steps: &[Step], reach: &[bool]) -> Vec<Vec<usize>> {
                 stack.push(v);
                 on_stack[v] = true;
             }
-            let succ = successors(steps, v);
-            if *pos < succ.len() {
-                let w = succ[*pos];
+            if let Some(w) = successors(steps, v).nth(*pos) {
                 *pos += 1;
                 if index[w] == usize::MAX {
                     work.push((w, 0));

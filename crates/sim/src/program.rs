@@ -18,6 +18,7 @@ use crate::cache::WordAddr;
 use bounce_atomics::Primitive;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Number of general-purpose registers per thread.
 pub const NUM_REGS: usize = 4;
@@ -180,9 +181,13 @@ pub enum Step {
 }
 
 /// A validated program.
+///
+/// The steps are immutable and shared: threads that run the same body
+/// hold clones of one `Program`, and a clone only bumps a reference
+/// count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Program {
-    steps: Vec<Step>,
+    steps: Arc<[Step]>,
 }
 
 impl Program {
@@ -263,15 +268,16 @@ impl Program {
         // Detect pure-control livelock: walk from every step following
         // only control steps; if we revisit a step without passing
         // through a time-consuming step, the program can spin forever at
-        // zero cost.
+        // zero cost. `visited[pc] == start` marks the steps of the
+        // current walk, so one buffer serves every walk.
+        let mut visited = vec![usize::MAX; n];
         for start in 0..n {
             let mut pc = start;
-            let mut visited = vec![false; n];
             loop {
-                if visited[pc] {
+                if visited[pc] == start {
                     return Err(ProgramError::ControlOnlyCycle { from: start });
                 }
-                visited[pc] = true;
+                visited[pc] = start;
                 match steps[pc] {
                     Step::Goto(t) => pc = t,
                     Step::SetRegFromPrev(_) | Step::SetRegConst(_, _) | Step::RegAdd { .. } => {
@@ -288,7 +294,9 @@ impl Program {
                 }
             }
         }
-        Ok(Program { steps })
+        Ok(Program {
+            steps: steps.into(),
+        })
     }
 
     /// The steps.
@@ -714,6 +722,20 @@ mod tests {
         assert_eq!(
             Program::new(vec![Step::Goto(0)]).unwrap_err(),
             ProgramError::ControlOnlyCycle { from: 0 }
+        );
+        // The walk from step 2 re-crosses step 0, which the walk from
+        // step 0 visited, and ends at the Work: no cycle. The first walk
+        // that loops names its start.
+        assert_eq!(
+            Program::new(vec![
+                Step::SetRegConst(0, 1),
+                Step::Work(1),
+                Step::Goto(0),
+                Step::SetRegConst(1, 1),
+                Step::Goto(3),
+            ])
+            .unwrap_err(),
+            ProgramError::ControlOnlyCycle { from: 3 }
         );
         // Display carries the same detail for callers that just print.
         let msg = ProgramError::TargetOutOfRange {

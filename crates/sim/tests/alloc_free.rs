@@ -5,10 +5,17 @@
 //! doubling the run may add a few allocations (a slightly higher peak)
 //! but none in proportion to the events processed. A core's L1 sets
 //! are built on its first install, so a new cache allocates nothing.
+//!
+//! The program layer allocates per distinct thread body, not per
+//! thread: threads share one step list, so cloning a program allocates
+//! nothing, and compiling and analyzing a one-body workload costs the
+//! same allocations at any thread count.
 
 use bounce_atomics::Primitive;
 use bounce_sim::cache::SetAssocCache;
-use bounce_sim::{ArbitrationPolicy, CoherenceKind, Engine, SimConfig, SimParams};
+use bounce_sim::{
+    analyze_workload, ArbitrationPolicy, CoherenceKind, Engine, Program, SimConfig, SimParams,
+};
 use bounce_topo::{presets, MachineTopology, Placement};
 use bounce_workloads::{LockShape, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -125,6 +132,39 @@ fn new_cache_allocates_nothing() {
     let allocs = ALLOCS.with(Cell::get) - before;
     assert_eq!(cache.occupancy(), 0);
     assert_eq!(allocs, 0, "a new 64-set cache made {allocs} allocations");
+}
+
+#[test]
+fn program_clone_allocates_nothing() {
+    let program = HC_FAA.sim_programs(1).remove(0);
+    let before = ALLOCS.with(Cell::get);
+    let copy = program.clone();
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(copy.steps(), program.steps());
+    assert_eq!(allocs, 0, "cloning a program made {allocs} allocations");
+}
+
+/// Allocations made compiling `n` threads of `workload` and analyzing
+/// the result.
+fn compile_and_analyze_allocs(workload: &Workload, n: usize) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    let programs = workload.sim_programs(n);
+    let refs: Vec<&Program> = programs.iter().collect();
+    let diagnostics = analyze_workload(&refs);
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert!(diagnostics.is_empty(), "{diagnostics:?}");
+    assert_eq!(programs.len(), n);
+    allocs
+}
+
+#[test]
+fn one_body_compiles_and_analyzes_in_constant_allocations() {
+    let small = compile_and_analyze_allocs(&HC_FAA, 2);
+    let large = compile_and_analyze_allocs(&HC_FAA, 288);
+    assert_eq!(
+        small, large,
+        "HC FAA: {small} allocations at n=2, {large} at n=288"
+    );
 }
 
 #[test]

@@ -175,72 +175,100 @@ impl Workload {
     }
 
     /// Compile to one simulator program per thread index `0..n`.
+    ///
+    /// A body that does not depend on the thread index is built once and
+    /// cloned, so those threads share one step list.
     pub fn sim_programs(&self, n: usize) -> Vec<Program> {
         let map = AddressMap;
-        (0..n)
-            .map(|i| match *self {
-                Workload::HighContention { prim } => builders::op_loop(prim, map.shared(), 0),
-                Workload::LowContention { prim, work } => {
-                    builders::op_loop(prim, map.private(i), work)
-                }
-                Workload::Diluted { prim, work } => builders::op_loop(prim, map.shared(), work),
-                Workload::CasRetryLoop { window, work } => {
-                    builders::cas_increment_loop(map.shared(), window, work)
-                }
-                Workload::MixedReadWrite { writers, prim } => {
-                    if i < writers {
-                        builders::op_loop(prim, map.shared(), 0)
-                    } else {
-                        reader_loop(map)
-                    }
-                }
-                Workload::ReadScan {
-                    writers,
-                    writer_work,
-                } => {
-                    if i < writers {
-                        builders::op_loop(Primitive::Faa, map.shared(), writer_work)
-                    } else {
-                        scan_reader_loop(map, i)
-                    }
-                }
-                Workload::LockHandoff { shape, cs, noncs } => match shape {
-                    LockShape::Tas => builders::tas_lock_loop(map.lock(), cs, noncs),
-                    LockShape::Ttas => builders::ttas_lock_loop(map.lock(), cs, noncs),
-                    LockShape::Ticket => {
-                        builders::ticket_lock_loop(map.lock(), map.lock_serving(), cs, noncs)
-                    }
-                    LockShape::Mcs => builders::mcs_lock_loop(
-                        i,
-                        map.lock(),
-                        map.mcs_flag_base(),
-                        map.mcs_next_base(),
-                        cs,
-                        noncs,
-                    ),
-                },
-                Workload::FalseSharing { prim } => {
+        let shared = |body: Program| vec![body; n];
+        match *self {
+            Workload::HighContention { prim } => shared(builders::op_loop(prim, map.shared(), 0)),
+            Workload::LowContention { prim, work } => (0..n)
+                .map(|i| builders::op_loop(prim, map.private(i), work))
+                .collect(),
+            Workload::Diluted { prim, work } => shared(builders::op_loop(prim, map.shared(), work)),
+            Workload::CasRetryLoop { window, work } => {
+                shared(builders::cas_increment_loop(map.shared(), window, work))
+            }
+            Workload::MixedReadWrite { writers, prim } => {
+                let writer = builders::op_loop(prim, map.shared(), 0);
+                let reader = reader_loop(map);
+                (0..n)
+                    .map(|i| {
+                        if i < writers {
+                            writer.clone()
+                        } else {
+                            reader.clone()
+                        }
+                    })
+                    .collect()
+            }
+            Workload::ReadScan {
+                writers,
+                writer_work,
+            } => {
+                let writer = builders::op_loop(Primitive::Faa, map.shared(), writer_work);
+                (0..n)
+                    .map(|i| {
+                        if i < writers {
+                            writer.clone()
+                        } else {
+                            scan_reader_loop(map, i)
+                        }
+                    })
+                    .collect()
+            }
+            Workload::LockHandoff { shape, cs, noncs } => match shape {
+                LockShape::Tas => shared(builders::tas_lock_loop(map.lock(), cs, noncs)),
+                LockShape::Ttas => shared(builders::ttas_lock_loop(map.lock(), cs, noncs)),
+                LockShape::Ticket => shared(builders::ticket_lock_loop(
+                    map.lock(),
+                    map.lock_serving(),
+                    cs,
+                    noncs,
+                )),
+                LockShape::Mcs => (0..n)
+                    .map(|i| {
+                        builders::mcs_lock_loop(
+                            i,
+                            map.lock(),
+                            map.mcs_flag_base(),
+                            map.mcs_next_base(),
+                            cs,
+                            noncs,
+                        )
+                    })
+                    .collect(),
+            },
+            Workload::FalseSharing { prim } => (0..n)
+                .map(|i| {
                     let addr = bounce_sim::cache::WordAddr {
                         line: map.shared().line,
                         word: (i % 8) as u8,
                     };
                     builders::op_loop(prim, addr, 0)
-                }
-                Workload::CasRetryLoopBackoff { window, backoff } => {
-                    builders::cas_increment_loop_backoff(map.shared(), window, backoff)
-                }
-                Workload::MultiLine { prim, lines } => {
+                })
+                .collect(),
+            Workload::CasRetryLoopBackoff { window, backoff } => shared(
+                builders::cas_increment_loop_backoff(map.shared(), window, backoff),
+            ),
+            Workload::MultiLine { prim, lines } => (0..n)
+                .map(|i| {
                     assert!(lines >= 1, "MultiLine needs at least one line");
                     builders::op_loop(prim, map.shared_aux((i % lines) as u64), 0)
-                }
-                Workload::Zipf {
-                    prim,
-                    lines,
-                    theta,
-                    seed,
-                } => crate::zipf::zipf_program(prim, map.shared_aux(0), lines, theta, seed, i, 128),
-            })
-            .collect()
+                })
+                .collect(),
+            Workload::Zipf {
+                prim,
+                lines,
+                theta,
+                seed,
+            } => (0..n)
+                .map(|i| {
+                    crate::zipf::zipf_program(prim, map.shared_aux(0), lines, theta, seed, i, 128)
+                })
+                .collect(),
+        }
     }
 
     /// Derive the model-facing [`Scenario`] this workload realises when

@@ -137,24 +137,37 @@ fn seqlock_no_torn_reads_under_writer_churn() {
     use std::sync::Arc;
     let sl = Arc::new(SeqLock::new([0u64, 0]));
     let stop = Arc::new(AtomicBool::new(false));
+    // Set once the reader has checked a read: the writer keeps churning
+    // until then, so the reader overlaps the writes however late the
+    // scheduler starts it.
+    let seen = Arc::new(AtomicBool::new(false));
     let reader = {
         let sl = Arc::clone(&sl);
         let stop = Arc::clone(&stop);
+        let seen = Arc::clone(&seen);
         std::thread::spawn(move || {
             let mut checked = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let (v, _) = sl.read();
                 assert_eq!(v[1], v[0].wrapping_mul(3), "torn: {v:?}");
                 checked += 1;
+                seen.store(true, Ordering::Release);
             }
             checked
         })
     };
-    for i in 1..=20_000u64 {
+    let mut i = 0u64;
+    // A reader that panicked on a torn read stops too: the join reports it.
+    while i < 20_000 || !(seen.load(Ordering::Acquire) || reader.is_finished()) {
+        i += 1;
         sl.write(|d| {
             d[0] = i;
             d[1] = i.wrapping_mul(3);
         });
+        if i >= 20_000 {
+            // Past the quota: leave the reader a window between writes.
+            std::thread::yield_now();
+        }
     }
     stop.store(true, Ordering::SeqCst);
     assert!(reader.join().unwrap() > 0);
