@@ -6,18 +6,22 @@
 //!   queue do the work.
 //! * `lc_faa_*` (low contention, a private line per thread): every op
 //!   hits L1, so the interpreter, the L1-hit path (one set scan, no
-//!   hashing) and the event queue do the work.
+//!   hashing) and the event queue do the work. `lc_faa_knl_n288` is the
+//!   kind of point that dominates perfbench's `lc-private`.
 //!
 //! This is the single-thread counterpart of the parallel campaign
 //! speedup: it tracks the cost of the event loop itself (inline event
 //! heap, dense line tables, flat topology matrices) in events/sec,
 //! independent of how many sweep points run concurrently. Engine
-//! construction is excluded from the timed region.
+//! construction is excluded from those timed regions and timed on its
+//! own by `new_*`: `Engine::new` plus one `add_thread` per thread (and
+//! the engine's drop), for HC and LC FAA on KNL's 288 hardware threads,
+//! with the programs compiled beforehand.
 
 use bounce_atomics::Primitive;
 use bounce_harness::experiments::Machine;
-use bounce_sim::{ArbitrationPolicy, Engine, SimConfig};
-use bounce_topo::Placement;
+use bounce_sim::{ArbitrationPolicy, Engine, Program, SimConfig};
+use bounce_topo::{MachineTopology, Placement};
 use bounce_workloads::Workload;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::time::Duration;
@@ -34,27 +38,40 @@ const LC_FAA: Workload = Workload::LowContention {
 };
 
 /// The timed cases: (label, workload, machine, threads).
-const CASES: [(&str, Workload, Machine, usize); 4] = [
+const CASES: [(&str, Workload, Machine, usize); 5] = [
     ("hc_faa", HC_FAA, Machine::E5, 8),
     ("hc_faa", HC_FAA, Machine::E5, 24),
     ("hc_faa", HC_FAA, Machine::Knl, 8),
     ("lc_faa", LC_FAA, Machine::Knl, 72),
+    ("lc_faa", LC_FAA, Machine::Knl, 288),
 ];
 
-fn engine(machine: Machine, w: &Workload, n: usize) -> Engine {
-    let topo = machine.topo();
+/// The engine-construction cases: (label, workload), on KNL's 288
+/// hardware threads.
+const NEW_CASES: [(&str, Workload); 2] = [("hc_faa", HC_FAA), ("lc_faa", LC_FAA)];
+
+fn config(machine: Machine) -> SimConfig {
     let mut params = machine.sim_params();
     params.arbitration = ArbitrationPolicy::Fifo;
     params.home_policy = bounce_sim::HomePolicy::Fixed(0);
-    let mut eng = Engine::new(&topo, SimConfig::new(params, DURATION_CYCLES));
+    SimConfig::new(params, DURATION_CYCLES)
+}
+
+/// An engine on `topo` running `programs`, packed.
+fn build(topo: &MachineTopology, cfg: SimConfig, programs: &[Program]) -> Engine {
+    let mut eng = Engine::new(topo, cfg);
     for (hw, p) in Placement::Packed
-        .assign(&topo, n)
+        .assign(topo, programs.len())
         .into_iter()
-        .zip(w.sim_programs(n))
+        .zip(programs)
     {
-        eng.add_thread(hw, p);
+        eng.add_thread(hw, p.clone());
     }
     eng
+}
+
+fn engine(machine: Machine, w: &Workload, n: usize) -> Engine {
+    build(&machine.topo(), config(machine), &w.sim_programs(n))
 }
 
 fn bench_engine_hotpath(c: &mut Criterion) {
@@ -83,6 +100,14 @@ fn bench_engine_hotpath(c: &mut Criterion) {
                 |mut eng| eng.try_run().expect("run completes"),
                 BatchSize::LargeInput,
             )
+        });
+    }
+    let (machine, n) = (Machine::Knl, 288);
+    let topo = machine.topo();
+    for (label, w) in &NEW_CASES {
+        let programs = w.sim_programs(n);
+        g.bench_function(format!("new_{label}_{}_n{n}", machine.label()), |b| {
+            b.iter(|| build(&topo, config(machine), &programs))
         });
     }
     g.finish();

@@ -210,24 +210,27 @@ pub fn analyze_steps(steps: &[Step]) -> Vec<AnalysisError> {
 /// cross-program spin-liveness check. Program `i` is thread `i`.
 ///
 /// The diagnostics are those of analyzing each program on its own, in
-/// thread order, but the work is done per body: threads running the
-/// same step list (usually clones of one [`Program`]) come in runs, and
-/// both the CFG passes and the spin check run once per run.
+/// thread order, but the work is done per run of consecutive threads:
+/// the CFG passes run once per run of bodies with one control shape
+/// (equal length and, step by step, the same kind, jump target and
+/// register fields), and the spin check once per run of equal step
+/// lists (usually clones of one [`Program`]).
 pub fn analyze_workload(programs: &[&Program]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (threads, body) in bodies(programs) {
+    for (threads, body) in runs(programs, same_shape) {
         tag(&mut out, threads, &analyze_program(body));
     }
     // Spin liveness: every SpinWhile word must be covered by a write
     // target of some body.
-    for (threads, body) in bodies(programs) {
+    let bodies = || runs(programs, |p, q| p.steps() == q.steps());
+    for (threads, body) in bodies() {
         let dead: Vec<AnalysisError> = body
             .steps()
             .iter()
             .enumerate()
             .filter_map(|(step, s)| match *s {
                 Step::SpinWhile { addr, .. }
-                    if !bodies(programs).any(|(_, q)| program_writes_word(q, addr)) =>
+                    if !bodies().any(|(_, q)| program_writes_word(q, addr)) =>
                 {
                     Some(AnalysisError::SpinTargetNeverWritten { step, addr })
                 }
@@ -252,21 +255,49 @@ fn tag(out: &mut Vec<Diagnostic>, threads: Range<usize>, errs: &[AnalysisError])
     }
 }
 
-/// The runs of consecutive programs with equal step lists, as (thread
-/// indices, body). Clones of one [`Program`] compare by pointer.
-fn bodies<'a>(
+/// The runs of consecutive programs that `same` deems alike, as (thread
+/// indices, first body). Clones of one [`Program`] are alike without a
+/// call.
+fn runs<'a>(
     programs: &'a [&'a Program],
+    same: impl Fn(&Program, &Program) -> bool + 'a,
 ) -> impl Iterator<Item = (Range<usize>, &'a Program)> + 'a {
     let mut start = 0;
     std::iter::from_fn(move || {
         let body = *programs.get(start)?;
         let len = programs[start..]
             .iter()
-            .take_while(|p| std::ptr::eq(p.steps(), body.steps()) || p.steps() == body.steps())
+            .take_while(|p| std::ptr::eq(p.steps(), body.steps()) || same(p, body))
             .count();
         start += len;
         Some((start - len..start, body))
     })
+}
+
+/// Whether two programs have one control shape: equal length and, step
+/// by step, the same kind, jump target and register fields. The CFG
+/// passes read nothing else, so programs of one shape get the same
+/// diagnostics; addresses, operands, constants, primitives, strides,
+/// spin predicates and `Work` counts may differ.
+fn same_shape(p: &Program, q: &Program) -> bool {
+    p.steps().len() == q.steps().len()
+        && p.steps().iter().zip(q.steps()).all(|pair| match pair {
+            (Step::Op { .. }, Step::Op { .. })
+            | (Step::SpinWhile { .. }, Step::SpinWhile { .. })
+            | (Step::Work(_), Step::Work(_))
+            | (Step::Halt, Step::Halt) => true,
+            (Step::SetRegFromPrev(r), Step::SetRegFromPrev(s))
+            | (Step::SetRegConst(r, _), Step::SetRegConst(s, _))
+            | (Step::OpIndexed { reg: r, .. }, Step::OpIndexed { reg: s, .. }) => r == s,
+            (Step::RegAdd { dst, src, .. }, Step::RegAdd { dst: d, src: s, .. }) => {
+                dst == d && src == s
+            }
+            (Step::Goto(t), Step::Goto(u))
+            | (Step::BranchIfFail(t), Step::BranchIfFail(u))
+            | (Step::BranchIfSuccess(t), Step::BranchIfSuccess(u)) => t == u,
+            (Step::BranchIfRegZero(r, t), Step::BranchIfRegZero(s, u)) => r == s && t == u,
+            _ => false,
+        })
 }
 
 /// Whether any step of `p` can write `addr`. Direct ops match the exact

@@ -94,8 +94,8 @@ impl<P: Probe> Engine<P> {
             // Windowed per-thread latency totals are cheap to sum here
             // (O(threads) per boundary) and avoid any per-op cost on
             // the hot path.
-            let lat = self.threads.iter().fold((0u64, 0u64), |(s, c), t| {
-                (s + t.report.latency.sum, c + t.report.latency.count)
+            let lat = self.reports.iter().fold((0u64, 0u64), |(s, c), r| {
+                (s + r.latency.sum, c + r.latency.count)
             });
             if ctl.started {
                 ctl.throughput
@@ -104,10 +104,10 @@ impl<P: Probe> Engine<P> {
                 ctl.latency
                     .push(if dc > 0 { ds as f64 / dc as f64 } else { 0.0 });
                 let deltas: Vec<f64> = self
-                    .threads
+                    .reports
                     .iter()
                     .zip(&ctl.last_thread_ops)
-                    .map(|(t, &prev)| (t.report.ops - prev) as f64)
+                    .map(|(r, &prev)| (r.ops - prev) as f64)
                     .collect();
                 ctl.fairness.push(jain(&deltas));
             } else {
@@ -116,8 +116,8 @@ impl<P: Probe> Engine<P> {
             }
             ctl.last_retired = self.retired_ops;
             ctl.last_lat = lat;
-            for (slot, t) in ctl.last_thread_ops.iter_mut().zip(&self.threads) {
-                *slot = t.report.ops;
+            for (slot, r) in ctl.last_thread_ops.iter_mut().zip(&self.reports) {
+                *slot = r.ops;
             }
             if ctl.throughput.len() >= ctl.min_batches
                 && ctl.throughput.decide(ctl.rel_ci, ctl.min_batches).converged

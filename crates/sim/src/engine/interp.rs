@@ -133,17 +133,18 @@ impl<P: Probe> Engine<P> {
                         word: base.word,
                     };
                     let idx = self.line_idx(addr.line);
+                    let pair = self.pair_idx(idx, self.threads[tid].core);
                     let operand = resolve(operand, &regs);
                     let expected = resolve(expected, &regs);
-                    let op = CurOp::new(prim, addr, idx, operand, expected, self.now);
+                    let op = CurOp::new(prim, addr, (idx, pair), operand, expected, self.now);
                     self.issue_op(tid, op);
                     return;
                 }
                 Step::SpinWhile { addr, pred } => {
-                    let idx = self.threads[tid].lines[pc];
+                    let line = self.threads[tid].lines[pc];
                     let op = CurOp {
                         spin: Some(pred),
-                        ..CurOp::new(Primitive::Load, addr, idx, 0, 0, self.now)
+                        ..CurOp::new(Primitive::Load, addr, line, 0, 0, self.now)
                     };
                     self.issue_op(tid, op);
                     return;
@@ -188,12 +189,12 @@ impl<P: Probe> Engine<P> {
             // this line in this core (SMT contention).
             let outcome = self.apply_value_op(&mut op);
             self.threads[tid].last_success = outcome.success;
-            let busy_at = idx as usize * self.n_cores + core;
-            let start = self.line_busy[busy_at].max(self.now);
+            let pair = op.pair as usize;
+            let start = self.hit_busy[pair].max(self.now);
             let done =
                 start + self.cfg.params.l1_hit as u64 + self.cfg.params.exec_cost(prim) as u64;
             if excl {
-                self.line_busy[busy_at] = done;
+                self.hit_busy[pair] = done;
             }
             self.threads[tid].cur_op = Some(op);
             self.threads[tid].status = Status::Waiting;
@@ -223,19 +224,19 @@ impl<P: Probe> Engine<P> {
 
     fn bump_hits(&mut self, tid: usize) {
         if self.now >= self.cfg.warmup_cycles {
-            self.threads[tid].report.hits += 1;
+            self.reports[tid].hits += 1;
         }
     }
 
     fn bump_misses(&mut self, tid: usize) {
         if self.now >= self.cfg.warmup_cycles {
-            self.threads[tid].report.misses += 1;
+            self.reports[tid].misses += 1;
         }
     }
 
     fn bump_spin_loads(&mut self, tid: usize) {
         if self.now >= self.cfg.warmup_cycles {
-            self.threads[tid].report.spin_loads += 1;
+            self.reports[tid].spin_loads += 1;
         }
     }
 
@@ -308,7 +309,7 @@ impl<P: Probe> Engine<P> {
         self.retired_ops += 1;
         if in_window {
             let lat = self.now - op.issued_at;
-            let rep = &mut self.threads[tid].report;
+            let rep = &mut self.reports[tid];
             rep.ops += 1;
             if outcome.success {
                 rep.successes += 1;

@@ -51,6 +51,7 @@ use bounce_atomics::{OpOutcome, Primitive};
 use bounce_topo::{HwThreadId, MachineTopology, TileId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 mod adaptive;
 mod arb;
@@ -112,6 +113,9 @@ struct CurOp {
     /// Dense intern index of `addr.line` (avoids re-hashing on the
     /// linearisation and spin-recheck paths).
     line_idx: u32,
+    /// Pair index of (`addr.line`, the issuing core): where a hit reads
+    /// and sets its horizon (see [`Engine::pair_idx`]).
+    pair: u32,
     operand: u64,
     expected: u64,
     issued_at: u64,
@@ -122,11 +126,12 @@ struct CurOp {
 }
 
 impl CurOp {
-    /// A plain op on `addr` (intern index `line_idx`) issued at `now`.
+    /// A plain op on `addr` (intern index `line_idx`, pair index `pair`)
+    /// issued at `now`.
     fn new(
         prim: Primitive,
         addr: WordAddr,
-        line_idx: u32,
+        (line_idx, pair): (u32, u32),
         operand: u64,
         expected: u64,
         now: u64,
@@ -135,6 +140,7 @@ impl CurOp {
             prim,
             addr,
             line_idx,
+            pair,
             operand,
             expected,
             issued_at: now,
@@ -145,21 +151,21 @@ impl CurOp {
 }
 
 /// Entry of [`ThreadSt::lines`] at a pc whose step names no fixed line.
-const NO_LINE: u32 = u32::MAX;
+const NO_LINE: (u32, u32) = (u32::MAX, u32::MAX);
 
 struct ThreadSt {
     hw: HwThreadId,
     core: usize,
     program: Program,
-    /// Intern index of the line each `Op` and `SpinWhile` step names,
-    /// by pc ([`NO_LINE`] at every other pc), resolved in `add_thread`.
-    lines: Box<[u32]>,
+    /// The line each `Op` and `SpinWhile` step names, by pc, as its
+    /// intern index and the pair index of (line, this thread's core)
+    /// ([`NO_LINE`] at every other pc), resolved in `add_thread`.
+    lines: Box<[(u32, u32)]>,
     pc: usize,
     regs: [u64; NUM_REGS],
     last_success: bool,
     status: Status,
     cur_op: Option<CurOp>,
-    report: ThreadReport,
 }
 
 /// The simulation engine. Construct with [`Engine::new`], add threads
@@ -204,14 +210,26 @@ pub struct Engine<P: Probe = NoProbe> {
     /// with payloads inline in the buckets (see [`crate::equeue`]).
     events: CalendarQueue<Ev>,
     threads: Vec<ThreadSt>,
+    /// Each thread's counters, by thread index. `finish` moves them into
+    /// the run's [`SimReport`], leaving this empty.
+    reports: Vec<ThreadReport>,
+    /// Whether a hardware thread runs a simulated thread, by hardware
+    /// thread index.
+    occupied: Vec<bool>,
+    /// Set when the run starts: a second [`Engine::try_run`] processes
+    /// no events.
+    ran: bool,
     caches: Vec<SetAssocCache>,
     dir: Directory,
     /// Per-interned-line word values (`[idx][word]`), kept in lockstep
     /// with the directory's intern table by [`Engine::line_idx`].
     values: Vec<[u64; WORDS_PER_LINE]>,
-    /// Per-(line, core) completion horizon for exclusive hits, flat
-    /// `idx * n_cores + core`.
-    line_busy: Vec<u64>,
+    /// Dense index of each (line intern index, core) pair an op names,
+    /// in first-use order (see [`Engine::pair_idx`]).
+    pairs: HashMap<(u32, u32), u32>,
+    /// Completion horizon of the exclusive hits on each pair's line in
+    /// its core, by pair index.
+    hit_busy: Vec<u64>,
     /// Per-interned-line availability horizon of the single dirty-data
     /// supplier's cache port (MOESI's Owned copy, see
     /// [`crate::protocol::DataSource::OwnedPeer`]). Stays all-zero under
@@ -334,10 +352,14 @@ impl<P: Probe> Engine<P> {
             protocol: cfg.params.protocol,
             events: CalendarQueue::new(),
             threads: Vec::new(),
+            reports: Vec::new(),
+            occupied: vec![false; topo.num_threads()],
+            ran: false,
             caches,
             dir,
             values: Vec::new(),
-            line_busy: Vec::new(),
+            pairs: HashMap::new(),
+            hit_busy: Vec::new(),
             fwd_busy: Vec::new(),
             port_busy: vec![0; nt],
             link_busy: if link_model {
@@ -430,19 +452,22 @@ impl<P: Probe> Engine<P> {
     pub fn add_thread(&mut self, hw: HwThreadId, program: Program) {
         assert!(hw.0 < self.topo.num_threads(), "hw thread out of range");
         assert!(
-            !self.threads.iter().any(|t| t.hw == hw),
+            !std::mem::replace(&mut self.occupied[hw.0], true),
             "hardware thread {hw:?} already occupied"
         );
         let core = self.topo.threads[hw.0].core.0;
         // Intern every line the program names up front and keep each
-        // fixed line's index by pc, so issuing an `Op` or `SpinWhile`
-        // never hashes. Lines computed at run time (`OpIndexed`) intern
-        // when issued.
+        // fixed line's index and (line, core) pair by pc, so issuing an
+        // `Op` or `SpinWhile` never hashes. Lines computed at run time
+        // (`OpIndexed`) intern when issued.
         let lines = program
             .steps()
             .iter()
             .map(|step| match *step {
-                Step::Op { addr, .. } | Step::SpinWhile { addr, .. } => self.line_idx(addr.line),
+                Step::Op { addr, .. } | Step::SpinWhile { addr, .. } => {
+                    let idx = self.line_idx(addr.line);
+                    (idx, self.pair_idx(idx, core))
+                }
                 Step::OpIndexed { base, .. } => {
                     self.line_idx(base.line);
                     NO_LINE
@@ -450,10 +475,10 @@ impl<P: Probe> Engine<P> {
                 _ => NO_LINE,
             })
             .collect();
-        let report = ThreadReport {
+        self.reports.push(ThreadReport {
             hw_thread: hw.0,
             ..ThreadReport::default()
-        };
+        });
         self.threads.push(ThreadSt {
             hw,
             core,
@@ -464,7 +489,6 @@ impl<P: Probe> Engine<P> {
             last_success: true,
             status: Status::Ready,
             cur_op: None,
-            report,
         });
     }
 
@@ -492,10 +516,22 @@ impl<P: Probe> Engine<P> {
         if self.values.len() < n {
             self.values.resize(n, [0u64; WORDS_PER_LINE]);
             self.waiters.resize_with(n, Vec::new);
-            self.line_busy.resize(n * self.n_cores, 0);
             self.fwd_busy.resize(n, 0);
         }
         idx
+    }
+
+    /// Dense index for the pair of interned line `idx` and `core`:
+    /// interns it and gives it a hit horizon. Only the pairs some op
+    /// names get one, so the horizons grow with the ops' lines and
+    /// cores, not with every line times every core.
+    fn pair_idx(&mut self, idx: u32, core: usize) -> u32 {
+        let next = self.hit_busy.len() as u32;
+        let pair = *self.pairs.entry((idx, core as u32)).or_insert(next);
+        if pair == next {
+            self.hit_busy.push(0);
+        }
+        pair
     }
 
     /// The coherence state of a line in one core's L1 (post-run
@@ -580,8 +616,9 @@ impl<P: Probe> Engine<P> {
     /// configured duration) under the forward-progress watchdog
     /// ([`SimConfig::watchdog`](crate::config::Watchdog)) and report.
     /// The engine remains inspectable afterwards ([`Engine::word`], for
-    /// conservation checks); running a finished engine again returns an
-    /// empty report.
+    /// conservation checks). An engine runs once: a second call
+    /// processes no events and returns an empty report, with zero cycles
+    /// and events and a zeroed [`ThreadReport`] per thread.
     ///
     /// Returns [`SimError::EventBudgetExceeded`] if the run processes
     /// more events than its budget (an event storm that never advances
@@ -591,6 +628,9 @@ impl<P: Probe> Engine<P> {
     /// threads' program counters and the most contended line's coherence
     /// state attached.
     pub fn try_run(&mut self) -> Result<SimReport, SimError> {
+        if self.ran {
+            return Ok(self.empty_report());
+        }
         // Mandatory static pass: reject malformed workloads before any
         // event is processed. `repro lint` runs the same analysis
         // offline; this is the backstop for programs built directly.
@@ -607,10 +647,11 @@ impl<P: Probe> Engine<P> {
             }
         }
         // Kick off every thread at t=0.
+        self.ran = true;
         for tid in 0..self.threads.len() {
             self.schedule(0, Ev::Resume(tid as u32));
         }
-        if self.cfg.params.faults.enabled() && self.faults.is_none() {
+        if self.cfg.params.faults.enabled() {
             self.faults = Some(FaultState::new(
                 &self.cfg.params.faults,
                 self.cfg.params.seed,
@@ -618,7 +659,7 @@ impl<P: Probe> Engine<P> {
                 self.n_cores,
             ));
         }
-        if self.cfg.params.fabric.enabled() && self.fabric.is_none() {
+        if self.cfg.params.fabric.enabled() {
             self.fabric = Some(FabricState::new(
                 &self.cfg.params.fabric,
                 self.cfg.params.seed,
@@ -626,9 +667,7 @@ impl<P: Probe> Engine<P> {
             ));
             self.bank_pending = vec![0; self.n_tiles];
         }
-        if self.retry_count.len() < self.threads.len() {
-            self.retry_count.resize(self.threads.len(), 0);
-        }
+        self.retry_count = vec![0; self.threads.len()];
         // The effective cycle budget: the run-length config may override
         // the config duration (`Fixed{cycles:0}` resolves to it, keeping
         // the historical behaviour byte-identical).
@@ -658,7 +697,6 @@ impl<P: Probe> Engine<P> {
         let mut epoch_end = epoch_cycles;
         let mut stale_epochs: u64 = 0;
         let mut retired_at_epoch = self.retired_ops;
-        let counted_before = self.events_processed;
         let mut processed: u64 = 0;
         let result = loop {
             let Some((time, ev)) = self.events.pop() else {
@@ -720,7 +758,7 @@ impl<P: Probe> Engine<P> {
                 break Err(*e);
             }
         };
-        crate::counters::add_events(self.events_processed - counted_before);
+        crate::counters::add_events(self.events_processed);
         if let Some(fb) = self.fabric.as_ref() {
             crate::counters::add_faults(fb.nacks, fb.retries);
         }

@@ -85,7 +85,7 @@ impl<P: Probe> Engine<P> {
             fb.retries += 1;
         }
         if self.now >= self.cfg.warmup_cycles {
-            self.threads[tid].report.retries += 1;
+            self.reports[tid].retries += 1;
         }
         // The NACK reply travels home→requester, then the re-sent
         // request travels requester→home after the backoff wait; both

@@ -3,7 +3,7 @@
 
 use super::Engine;
 use crate::probe::Probe;
-use crate::report::{LatencyStats, RunLengthSummary, SimReport, ThreadReport};
+use crate::report::{EnergyBreakdown, LatencyStats, RunLengthSummary, SimReport, ThreadReport};
 
 impl<P: Probe> Engine<P> {
     pub(super) fn finish(&mut self, run: RunLengthSummary) -> SimReport {
@@ -23,11 +23,9 @@ impl<P: Probe> Engine<P> {
             self.threads.iter().map(|t| t.core).collect();
         self.energy.static_j =
             active_cores.len() as f64 * self.cfg.params.energy.static_w_per_core * window_secs;
-        let threads = self
-            .threads
-            .iter()
-            .map(|t| t.report.clone())
-            .collect::<Vec<ThreadReport>>();
+        // The thread reports move out, histograms included: nothing
+        // records into them after the run.
+        let threads = std::mem::take(&mut self.reports);
         // First-class latency percentiles: merge the per-thread
         // histograms once here so downstream consumers (sweep JSON,
         // experiments) stop re-deriving them.
@@ -56,6 +54,38 @@ impl<P: Probe> Engine<P> {
             energy: self.energy.clone(),
             queue_depth: self.queue_depth.clone(),
             run_length: run,
+        }
+    }
+
+    /// The report of a run that processed no events: zero cycles,
+    /// events and energy, and a zeroed [`ThreadReport`] per thread.
+    pub(super) fn empty_report(&self) -> SimReport {
+        let threads = self
+            .threads
+            .iter()
+            .map(|t| ThreadReport {
+                hw_thread: t.hw.0,
+                ..ThreadReport::default()
+            })
+            .collect();
+        SimReport {
+            duration_cycles: 0,
+            window_cycles: 0,
+            freq_ghz: self.topo.freq_ghz,
+            threads,
+            transfers_by_domain: [0; 5],
+            invalidations: 0,
+            mem_accesses: 0,
+            dir_transactions: 0,
+            events: 0,
+            preemptions: 0,
+            nacks: 0,
+            retries: 0,
+            p50_latency_cycles: 0.0,
+            p99_latency_cycles: 0.0,
+            queue_depth: LatencyStats::default(),
+            energy: EnergyBreakdown::default(),
+            run_length: RunLengthSummary::fixed(0),
         }
     }
 }

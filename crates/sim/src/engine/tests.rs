@@ -3,7 +3,7 @@
 
 use super::*;
 use crate::config::{ArbitrationPolicy, SimConfig, SimParams};
-use crate::program::builders;
+use crate::program::{builders, Operand};
 use crate::trace::{Trace, TraceEvent};
 use bounce_topo::{presets, Placement};
 fn tiny() -> MachineTopology {
@@ -148,38 +148,131 @@ fn fifo_arbitration_is_fair() {
 #[test]
 fn smt_siblings_serialise_on_the_shared_l1_line() {
     // Two SMT siblings on one core share the L1: both hit, but the
-    // per-(core,line) busy window serialises their RMWs — combined
-    // throughput ≈ one hit pipeline, far below two private-line
-    // threads on separate cores.
+    // (line, core) hit horizon serialises their RMWs on one line —
+    // combined throughput ≈ one hit pipeline. On two lines the siblings
+    // hold two horizons and run two full pipelines, as two threads on
+    // separate cores do.
     let topo = tiny();
-    let shared_line = {
+    let run = |threads: [(usize, u64); 2]| {
         let mut eng = Engine::new(&topo, cfg(300_000));
+        for (hw, line) in threads {
+            let program = builders::op_loop(Primitive::Faa, WordAddr::of_line(line), 0);
+            eng.add_thread(HwThreadId(hw), program);
+        }
+        eng.try_run().expect("run completes")
+    };
+    // hw threads 0 and 1 are SMT siblings on core 0; hw 2 is on core 1.
+    let shared_line = run([(0, 0x4000), (1, 0x4000)]);
+    let sibling_lines = run([(0, 0x7000), (1, 0x7080)]);
+    let private = run([(0, 0x7000), (2, 0x7080)]);
+    for (label, r) in [
+        ("shared line", &shared_line),
+        ("sibling lines", &sibling_lines),
+    ] {
+        // No coherence transfers: the lines never leave core 0.
+        assert_eq!(r.total_transfers(), 0, "{label}");
+    }
+    for (label, r) in [("sibling lines", &sibling_lines), ("private", &private)] {
+        assert!(
+            r.total_ops() as f64 > 1.6 * shared_line.total_ops() as f64,
+            "{label} {} vs smt-shared {}",
+            r.total_ops(),
+            shared_line.total_ops()
+        );
+    }
+}
+
+#[test]
+fn a_hit_horizon_stays_with_its_core() {
+    // Core 0 issues one long exclusive hit on a line and halts; core 1
+    // takes the line over while that hit is still in flight. Core 1's
+    // own hits then wait for nothing: the horizon belongs to the (line,
+    // core) pair, not to the line.
+    let topo = tiny();
+    let mut params = SimParams::e5();
+    params.rmw_exec = 50_000;
+    let mut eng = Engine::new(&topo, SimConfig::new(params, 200_000));
+    let op = |prim| Step::Op {
+        prim,
+        addr: addr(),
+        operand: Operand::Const(1),
+        expected: Operand::Const(0),
+    };
+    let (store, faa) = (op(Primitive::Store), op(Primitive::Faa));
+    // Core 0: own the line, then one hit that completes ~50k cycles on.
+    let long_hit = Program::new(vec![store, faa, Step::Halt]).unwrap();
+    // Core 1: past the warmup, store to the line in a loop.
+    let stores = Program::new(vec![Step::Work(30_000), store, Step::Goto(1)]).unwrap();
+    eng.add_thread(HwThreadId(0), long_hit);
+    eng.add_thread(HwThreadId(2), stores);
+    let report = eng.try_run().expect("run completes");
+    let t = &report.threads[1];
+    assert!(t.hits > 1_000, "core 1 hits the line it took: {t:?}");
+    assert!(
+        t.latency.max < 1_000,
+        "a core-1 op waited {} cycles for core 0's hit",
+        t.latency.max
+    );
+}
+
+#[test]
+fn indexed_and_fixed_hits_on_one_line_share_a_horizon() {
+    // An `OpIndexed` op finds its (line, core) pair when issued, a
+    // fixed-address `Op` in `add_thread`: both must reach the same hit
+    // horizon, so SMT siblings mixing the two on one line serialise, and
+    // on two lines they do not.
+    let topo = tiny();
+    let run = |line: u64| {
+        let mut eng = Engine::new(&topo, cfg(300_000));
+        let indexed = Program::new(vec![
+            Step::SetRegConst(0, 0),
+            Step::OpIndexed {
+                prim: Primitive::Faa,
+                base: WordAddr::of_line(line),
+                reg: 0,
+                stride: 128,
+                operand: Operand::Const(1),
+                expected: Operand::Const(0),
+            },
+            Step::Goto(1),
+        ])
+        .unwrap();
         // hw threads 0 and 1 are SMT siblings on core 0.
         eng.add_thread(HwThreadId(0), builders::op_loop(Primitive::Faa, addr(), 0));
-        eng.add_thread(HwThreadId(1), builders::op_loop(Primitive::Faa, addr(), 0));
+        eng.add_thread(HwThreadId(1), indexed);
         eng.try_run().expect("run completes")
     };
-    // No coherence transfers: the line never leaves core 0.
-    assert_eq!(shared_line.total_transfers(), 0);
-    let private = {
-        let mut eng = Engine::new(&topo, cfg(300_000));
-        eng.add_thread(
-            HwThreadId(0),
-            builders::op_loop(Primitive::Faa, WordAddr::of_line(0x7000), 0),
-        );
-        eng.add_thread(
-            HwThreadId(2),
-            builders::op_loop(Primitive::Faa, WordAddr::of_line(0x7080), 0),
-        );
-        eng.try_run().expect("run completes")
-    };
-    // Separate cores on private lines run two full pipelines.
+    let one_line = run(addr().line.0);
+    let two_lines = run(0x7000);
     assert!(
-        private.total_ops() as f64 > 1.6 * shared_line.total_ops() as f64,
-        "private {} vs smt-shared {}",
-        private.total_ops(),
-        shared_line.total_ops()
+        two_lines.total_ops() as f64 > 1.6 * one_line.total_ops() as f64,
+        "two lines {} vs one line {}",
+        two_lines.total_ops(),
+        one_line.total_ops()
     );
+}
+
+#[test]
+fn a_finished_engine_runs_no_more_events() {
+    // The first run's reports moved out at `finish`; a second run
+    // processes no events, so nothing records into them, and reports
+    // zero counts. Kicking the threads off at t = 0 again would schedule
+    // into the past, which a debug build's event queue rejects.
+    let topo = tiny();
+    let mut eng = Engine::new(&topo, cfg(100_000));
+    eng.add_thread(HwThreadId(0), builders::op_loop(Primitive::Faa, addr(), 0));
+    eng.add_thread(HwThreadId(2), builders::op_loop(Primitive::Faa, addr(), 0));
+    let first = eng.try_run().expect("first run completes");
+    assert!(first.total_ops() > 0);
+    let word = eng.word(addr());
+    let second = eng.try_run().expect("second run completes");
+    assert_eq!((second.events, second.duration_cycles), (0, 0));
+    let hw: Vec<usize> = second.threads.iter().map(|t| t.hw_thread).collect();
+    assert_eq!(hw, [0, 2]);
+    for t in &second.threads {
+        assert_eq!((t.ops, t.hits, t.misses, t.latency.count), (0, 0, 0, 0));
+    }
+    assert_eq!(eng.word(addr()), word, "no op ran again");
 }
 
 #[test]

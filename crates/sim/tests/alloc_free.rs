@@ -10,6 +10,11 @@
 //! thread: threads share one step list, so cloning a program allocates
 //! nothing, and compiling and analyzing a one-body workload costs the
 //! same allocations at any thread count.
+//!
+//! The engine's state grows with its threads and with the (line, core)
+//! pairs its ops name, not with every line times every core, and a run
+//! moves each thread's report out instead of copying it. Live bytes are
+//! counted beside allocations to check the first.
 
 use bounce_atomics::Primitive;
 use bounce_sim::cache::SetAssocCache;
@@ -21,44 +26,48 @@ use bounce_workloads::{LockShape, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// The system allocator, counting the allocations of the calling thread
-/// only, so that tests running on parallel threads do not disturb each
-/// other's counts.
+/// The system allocator, counting the allocations and the live bytes of
+/// the calling thread only, so that tests running on parallel threads
+/// do not disturb each other's counts.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_one() {
-    // `try_with`: the count is no longer reachable while the thread's
+/// Count one allocation (if `alloc`) and a change of `bytes` live bytes.
+fn count(alloc: bool, bytes: i64) {
+    // `try_with`: the counts are no longer reachable while the thread's
     // locals are being torn down, and those allocations do not matter.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + alloc as u64));
+    let _ = LIVE.try_with(|c| c.set(c.get() + bytes));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the counter only observes the calls.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(true, layout.size() as i64);
         // SAFETY: forwarded with the caller's guarantees on `layout`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(true, layout.size() as i64);
         // SAFETY: forwarded with the caller's guarantees on `layout`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(false, -(layout.size() as i64));
         // SAFETY: `ptr` was allocated by `System` with `layout` (every
         // allocation of this allocator is), as the caller guarantees.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count(true, new_size as i64 - layout.size() as i64);
         // SAFETY: forwarded with the caller's guarantees on `ptr`,
         // `layout` and `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -165,6 +174,48 @@ fn one_body_compiles_and_analyzes_in_constant_allocations() {
         small, large,
         "HC FAA: {small} allocations at n=2, {large} at n=288"
     );
+}
+
+#[test]
+fn a_run_allocates_less_than_once_per_thread() {
+    // The run hands each thread's report, latency histogram included,
+    // to the caller instead of copying it.
+    let topo = presets::xeon_phi_7290();
+    let n = 288;
+    let allocs = run_allocs(&topo, &knl(ArbitrationPolicy::Fifo), &HC_FAA, n, 200_000);
+    assert!(
+        allocs < n as u64,
+        "HC FAA on KNL at n={n}: {allocs} allocations inside try_run"
+    );
+}
+
+#[test]
+fn engine_heap_grows_with_the_pairs_in_use() {
+    // 288 threads on 72 cores, each FAA on a private line: 288 (line,
+    // core) pairs in use out of 288 × 72. A hit horizon for every line
+    // in every core would take 162 KiB plus growth slack and push the
+    // engine past the bound; the thread reports take ~236 KiB of what
+    // it holds, histograms included.
+    let topo = presets::xeon_phi_7290();
+    let lc = Workload::LowContention {
+        prim: Primitive::Faa,
+        work: 0,
+    };
+    let n = 288;
+    let params = knl(ArbitrationPolicy::Fifo);
+    let programs = lc.sim_programs(n);
+    let before = LIVE.with(Cell::get);
+    let mut eng = Engine::new(&topo, SimConfig::new(params, 200_000));
+    for (h, program) in Placement::Packed.assign(&topo, n).into_iter().zip(programs) {
+        eng.add_thread(h, program);
+    }
+    let held = LIVE.with(Cell::get) - before;
+    assert!(
+        held < 640 << 10,
+        "LC FAA on KNL at n={n}: the engine holds {} KiB after add_thread",
+        held >> 10
+    );
+    drop(eng);
 }
 
 #[test]

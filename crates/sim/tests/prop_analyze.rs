@@ -1,14 +1,17 @@
 //! Property test on the workload analyzer: `analyze_workload`, which
-//! runs the CFG passes and the spin check once per run of equal thread
-//! bodies, reports exactly what analyzing every program on its own
-//! reports.
+//! runs the CFG passes once per run of thread bodies with one control
+//! shape and the spin check once per run of equal bodies, reports
+//! exactly what analyzing every program on its own reports.
 //!
 //! The reference below is the straightforward analyzer: the CFG passes
 //! on every program, then, for every `SpinWhile` of every program, a scan
 //! of every program's writes. The random
-//! workloads mix clones of one body, separately built equal bodies and
-//! distinct bodies, spins on written and on unwritten words, strided
-//! `OpIndexed` writes, and bodies with every kind of defect.
+//! workloads mix clones of one body, separately built equal bodies,
+//! bodies of one shape with other addresses, operands, constants,
+//! primitives, strides, spin predicates and `Work` counts (some also
+//! with one register or jump target changed), and distinct bodies; spins on
+//! written and on unwritten words, strided `OpIndexed` writes, and
+//! bodies with every kind of defect.
 
 use bounce_atomics::Primitive;
 use bounce_sim::cache::{LineId, WordAddr};
@@ -323,43 +326,62 @@ fn operand(rng: &mut Rng) -> Operand {
     }
 }
 
+fn op(rng: &mut Rng) -> Step {
+    Step::Op {
+        prim: rng.pick(&Primitive::ALL),
+        addr: word(rng),
+        operand: operand(rng),
+        expected: operand(rng),
+    }
+}
+
+fn spin(rng: &mut Rng) -> Step {
+    Step::SpinWhile {
+        addr: word(rng),
+        pred: match rng.below(3) {
+            0 => SpinPred::WhileBitSet,
+            1 => SpinPred::WhileNe(operand(rng)),
+            _ => SpinPred::WhileEq(operand(rng)),
+        },
+    }
+}
+
+fn indexed(rng: &mut Rng, reg: u8) -> Step {
+    Step::OpIndexed {
+        prim: rng.pick(&Primitive::ALL),
+        base: word(rng),
+        reg,
+        stride: rng.pick(&STRIDES),
+        operand: operand(rng),
+        expected: operand(rng),
+    }
+}
+
+fn work(rng: &mut Rng) -> Step {
+    Step::Work(1 + rng.below(50))
+}
+
 fn step(rng: &mut Rng, len: usize) -> Step {
     let target = |rng: &mut Rng| rng.below(len as u64) as usize;
     match rng.below(14) {
-        0 | 1 => Step::Op {
-            prim: rng.pick(&Primitive::ALL),
-            addr: word(rng),
-            operand: operand(rng),
-            expected: operand(rng),
-        },
-        2 => Step::Work(1 + rng.below(50)),
+        0 | 1 => op(rng),
+        2 => work(rng),
         3 => Step::SetRegFromPrev(reg(rng)),
         4 => Step::SetRegConst(reg(rng), rng.below(3)),
         5 => Step::Goto(target(rng)),
         6 => Step::BranchIfFail(target(rng)),
         7 => Step::BranchIfSuccess(target(rng)),
-        8 | 9 => Step::SpinWhile {
-            addr: word(rng),
-            pred: match rng.below(3) {
-                0 => SpinPred::WhileBitSet,
-                1 => SpinPred::WhileNe(operand(rng)),
-                _ => SpinPred::WhileEq(operand(rng)),
-            },
-        },
+        8 | 9 => spin(rng),
         10 => Step::RegAdd {
             dst: reg(rng),
             src: reg(rng),
             k: rng.below(3) as i64 - 1,
         },
         11 => Step::BranchIfRegZero(reg(rng), target(rng)),
-        12 => Step::OpIndexed {
-            prim: rng.pick(&Primitive::ALL),
-            base: word(rng),
-            reg: reg(rng),
-            stride: rng.pick(&STRIDES),
-            operand: operand(rng),
-            expected: operand(rng),
-        },
+        12 => {
+            let r = reg(rng);
+            indexed(rng, r)
+        }
         _ => Step::Halt,
     }
 }
@@ -377,22 +399,95 @@ fn body(rng: &mut Rng) -> Program {
     builders::op_loop(Primitive::Faa, word(rng), 0)
 }
 
+/// `p`'s control shape with every field the CFG passes do not read
+/// drawn anew: addresses, operands, constants, primitives, strides, spin
+/// predicates and `Work` counts. With `drift`, one field the passes do
+/// read, a register or a jump target, changes too, so the body's shape
+/// differs from `p`'s in that field alone.
+fn reshaped(rng: &mut Rng, p: &Program, drift: bool) -> Program {
+    let mut steps: Vec<Step> = p
+        .steps()
+        .iter()
+        .map(|s| match *s {
+            Step::Op { .. } => op(rng),
+            Step::OpIndexed { reg, .. } => indexed(rng, reg),
+            Step::SpinWhile { .. } => spin(rng),
+            Step::Work(_) => work(rng),
+            Step::SetRegConst(r, _) => Step::SetRegConst(r, rng.below(3)),
+            Step::RegAdd { dst, src, .. } => Step::RegAdd {
+                dst,
+                src,
+                k: rng.below(3) as i64 - 1,
+            },
+            s => s,
+        })
+        .collect();
+    let n = steps.len();
+    // A register or jump target other than `x`, out of `m`.
+    let other = |rng: &mut Rng, x: usize, m: usize| (x + 1 + rng.below(m as u64 - 1) as usize) % m;
+    let other_reg = |rng: &mut Rng, r: u8| other(rng, r as usize, NUM_REGS) as u8;
+    let shaped: Vec<usize> = (0..n)
+        .filter(|&i| {
+            !matches!(
+                steps[i],
+                Step::Op { .. } | Step::SpinWhile { .. } | Step::Work(_) | Step::Halt
+            )
+        })
+        .collect();
+    if drift && !shaped.is_empty() && n > 1 {
+        let i = shaped[rng.below(shaped.len() as u64) as usize];
+        let other_target = |rng: &mut Rng, t: usize| other(rng, t, n);
+        steps[i] = match steps[i] {
+            Step::SetRegFromPrev(r) => Step::SetRegFromPrev(other_reg(rng, r)),
+            Step::SetRegConst(r, v) => Step::SetRegConst(other_reg(rng, r), v),
+            Step::RegAdd { dst, src, k } if rng.below(2) == 0 => Step::RegAdd {
+                dst: other_reg(rng, dst),
+                src,
+                k,
+            },
+            Step::RegAdd { dst, src, k } => Step::RegAdd {
+                dst,
+                src: other_reg(rng, src),
+                k,
+            },
+            Step::OpIndexed { reg: r, .. } => {
+                let r = other_reg(rng, r);
+                indexed(rng, r)
+            }
+            Step::Goto(t) => Step::Goto(other_target(rng, t)),
+            Step::BranchIfFail(t) => Step::BranchIfFail(other_target(rng, t)),
+            Step::BranchIfSuccess(t) => Step::BranchIfSuccess(other_target(rng, t)),
+            Step::BranchIfRegZero(r, t) if rng.below(2) == 0 => {
+                Step::BranchIfRegZero(other_reg(rng, r), t)
+            }
+            Step::BranchIfRegZero(r, t) => Step::BranchIfRegZero(r, other_target(rng, t)),
+            s => s,
+        };
+    }
+    Program::new(steps).unwrap_or_else(|_| p.clone())
+}
+
 /// A random workload of 1–12 threads over a pool of 1–4 bodies. Each
 /// thread repeats its predecessor's program, clones a pooled body,
-/// rebuilds one from its steps (equal, but not shared), or gets a body
-/// of its own.
+/// rebuilds one from its steps (equal, but not shared), takes its
+/// predecessor's shape with other fields (and perhaps one register or
+/// jump target changed), or gets a body of its own.
 fn workload(seed: u64) -> Vec<Program> {
     let mut rng = Rng(seed);
     let pool: Vec<Program> = (0..1 + rng.below(4)).map(|_| body(&mut rng)).collect();
     let n = 1 + rng.below(12) as usize;
     let mut programs: Vec<Program> = Vec::with_capacity(n);
     for _ in 0..n {
-        let p = match (programs.last(), rng.below(5)) {
+        let p = match (programs.last(), rng.below(7)) {
             (Some(prev), 0 | 1) => prev.clone(),
             (_, 2) => pool[rng.below(pool.len() as u64) as usize].clone(),
             (_, 3) => {
                 let k = rng.below(pool.len() as u64) as usize;
                 Program::new(pool[k].steps().to_vec()).expect("pooled bodies are valid")
+            }
+            (Some(prev), 4 | 5) => {
+                let drift = rng.below(2) == 0;
+                reshaped(&mut rng, prev, drift)
             }
             _ => body(&mut rng),
         };
@@ -404,7 +499,7 @@ fn workload(seed: u64) -> Vec<Program> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The shared-body analyzer reports what the per-program analyzer
+    /// The per-run analyzer reports what the per-program analyzer
     /// reports: the same diagnostics, in the same order, on the same
     /// threads.
     #[test]
@@ -426,6 +521,7 @@ proptest! {
 fn generator_covers_defects_and_sharing() {
     let mut kinds = [false; 5];
     let (mut clean, mut shared_runs, mut indexed_cover) = (false, false, false);
+    let mut shape_runs = false;
     for seed in 0..2_000u64 {
         let programs = workload(seed);
         let refs: Vec<&Program> = programs.iter().collect();
@@ -445,6 +541,15 @@ fn generator_covers_defects_and_sharing() {
         shared_runs |= programs
             .windows(2)
             .any(|w| std::ptr::eq(w[0].steps(), w[1].steps()));
+        // Neighbours of one length and step kinds but unequal steps.
+        shape_runs |= programs.windows(2).any(|w| {
+            let (a, b) = (w[0].steps(), w[1].steps());
+            a != b
+                && a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(s, t)| std::mem::discriminant(s) == std::mem::discriminant(t))
+        });
         // A spin word written only through a strided lattice point other
         // than the base.
         indexed_cover |= programs.iter().flat_map(|p| p.steps()).any(|s| match *s {
@@ -468,5 +573,6 @@ fn generator_covers_defects_and_sharing() {
     assert_eq!(kinds, [true; 5], "diagnostic kinds reached");
     assert!(clean, "no clean workload generated");
     assert!(shared_runs, "no shared body generated");
+    assert!(shape_runs, "no bodies of one shape generated");
     assert!(indexed_cover, "no spin covered only by a strided write");
 }
