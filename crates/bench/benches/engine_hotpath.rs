@@ -13,10 +13,11 @@
 //! speedup: it tracks the cost of the event loop itself (inline event
 //! heap, dense line tables, flat topology matrices) in events/sec,
 //! independent of how many sweep points run concurrently. Engine
-//! construction is excluded from those timed regions and timed on its
-//! own by `new_*`: `Engine::new` plus one `add_thread` per thread (and
-//! the engine's drop), for HC and LC FAA on KNL's 288 hardware threads,
-//! with the programs compiled beforehand.
+//! construction and drop are excluded from those timed regions, and
+//! construction is timed on its own by `new_*`: `Engine::new` plus one
+//! `add_thread` per thread, for HC and LC FAA on KNL's 288 hardware
+//! threads, with the programs compiled beforehand and each engine
+//! dropped after its time is taken.
 
 use bounce_atomics::Primitive;
 use bounce_harness::experiments::Machine;
@@ -97,7 +98,10 @@ fn bench_engine_hotpath(c: &mut Criterion) {
         g.bench_function(format!("{label}_{}_n{n}", machine.label()), |b| {
             b.iter_batched(
                 || engine(*machine, w, *n),
-                |mut eng| eng.try_run().expect("run completes"),
+                |mut eng| {
+                    let report = eng.try_run().expect("run completes");
+                    (eng, report)
+                },
                 BatchSize::LargeInput,
             )
         });
@@ -107,7 +111,7 @@ fn bench_engine_hotpath(c: &mut Criterion) {
     for (label, w) in &NEW_CASES {
         let programs = w.sim_programs(n);
         g.bench_function(format!("new_{label}_{}_n{n}", machine.label()), |b| {
-            b.iter(|| build(&topo, config(machine), &programs))
+            b.iter_with_large_drop(|| build(&topo, config(machine), &programs))
         });
     }
     g.finish();

@@ -621,8 +621,8 @@ pub struct SimConfig {
     pub duration_cycles: u64,
     /// Measurements are recorded only at and after this instant.
     pub warmup_cycles: u64,
-    /// Per-op latency histogram collection (off saves memory on long
-    /// runs).
+    /// Per-op latency histogram collection. Off skips the recording
+    /// only: each histogram is a fixed inline array either way.
     pub collect_latency: bool,
     /// Forward-progress watchdog limits.
     pub watchdog: Watchdog,

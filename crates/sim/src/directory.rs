@@ -13,6 +13,7 @@ use crate::config::HomePolicy;
 use bounce_topo::{CoherenceKind, MachineTopology, TileId};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A coherence request waiting at (or being serviced by) the directory.
 ///
@@ -248,7 +249,7 @@ impl LineDir {
 #[derive(Debug)]
 pub struct Directory {
     /// LineId -> dense index, populated on first touch.
-    index: HashMap<LineId, u32>,
+    index: HashMap<LineId, u32, MulXorBuild>,
     /// Dense index -> LineId (inverse of `index`).
     lines: Vec<LineId>,
     /// Dense index -> per-line coherence state.
@@ -268,7 +269,7 @@ impl Directory {
     pub fn new(topo: &MachineTopology, policy: HomePolicy, salt: u64) -> Self {
         let home_tiles = topo.tiles.iter().map(|t| t.id).collect();
         Directory {
-            index: HashMap::new(),
+            index: HashMap::default(),
             lines: Vec::new(),
             entries: Vec::new(),
             homes: Vec::new(),
@@ -351,6 +352,14 @@ impl Directory {
         self.lines.len()
     }
 
+    /// Drop the growth slack of the per-line tables. The intern map
+    /// keeps its buckets: their count is a power of two either way.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.lines.shrink_to_fit();
+        self.entries.shrink_to_fit();
+        self.homes.shrink_to_fit();
+    }
+
     /// Check every entry's invariants (tests / debug).
     pub fn check_all_invariants(&self, kind: CoherenceKind) -> Result<(), String> {
         for (line, e) in self.lines.iter().zip(&self.entries) {
@@ -382,6 +391,44 @@ impl Directory {
         }
     }
 }
+
+/// The hasher of the two intern maps, [`Directory`]'s line index and
+/// the engine's (line, core) pair index: one multiply-xor per key word,
+/// where the default SipHash takes ~32 ns a lookup. The keys are the
+/// simulation's own small integers, so there is no hash flooding to
+/// defend against, and neither map is ever iterated, so no output
+/// depends on the hash.
+#[derive(Default)]
+pub(crate) struct MulXorHasher(u64);
+
+impl Hasher for MulXorHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(word.into());
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    /// The product with the high half folded into the low: the table
+    /// takes a bucket from the low bits and a tag from the top ones,
+    /// and a product's low bits see only its input's low bits.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A fixed [`MulXorHasher`] for both intern maps.
+pub(crate) type MulXorBuild = BuildHasherDefault<MulXorHasher>;
 
 /// SplitMix64 — cheap, well-distributed hash for home-slice selection.
 pub fn splitmix64(mut x: u64) -> u64 {
@@ -528,6 +575,28 @@ mod tests {
         assert_eq!(dir.get(LineId(64)).unwrap().owner, Some(3));
         dir.entry(LineId(64)).sharers.insert(1);
         assert!(dir.get_at(i).sharers.contains(1));
+    }
+
+    #[test]
+    fn intern_hash_spreads_strided_keys() {
+        // The table takes a bucket from a hash's low bits and a tag from
+        // its top seven, so keys that differ only in high bits (lines
+        // far apart, one line's pairs on many cores) must spread over
+        // both ends.
+        use std::hash::BuildHasher;
+        let build = MulXorBuild::default();
+        let lines = (0..8000u64).map(|i| build.hash_one(LineId(i << 12)));
+        let pairs = (0..8000u32).map(|i| build.hash_one((i / 72, i % 72)));
+        for hashes in [lines.collect::<Vec<_>>(), pairs.collect()] {
+            let (mut low, mut top) = ([0u32; 8], [0u32; 8]);
+            for h in hashes {
+                low[(h & 7) as usize] += 1;
+                top[(h >> 61) as usize] += 1;
+            }
+            for b in low.into_iter().chain(top) {
+                assert!((800..1200).contains(&b), "low {low:?}, top {top:?}");
+            }
+        }
     }
 
     #[test]

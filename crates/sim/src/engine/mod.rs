@@ -39,7 +39,7 @@
 use crate::cache::{LineId, LineState, SetAssocCache, WordAddr};
 use crate::config::{RunLength, SimConfig};
 use crate::conform::DirSnapshot;
-use crate::directory::{Directory, Request};
+use crate::directory::{Directory, MulXorBuild, Request};
 use crate::equeue::CalendarQueue;
 use crate::error::{LineDiag, SimError, StuckThread};
 use crate::faults::{FabricState, FaultState};
@@ -210,8 +210,9 @@ pub struct Engine<P: Probe = NoProbe> {
     /// with payloads inline in the buckets (see [`crate::equeue`]).
     events: CalendarQueue<Ev>,
     threads: Vec<ThreadSt>,
-    /// Each thread's counters, by thread index. `finish` moves them into
-    /// the run's [`SimReport`], leaving this empty.
+    /// Each thread's counters, by thread index: built at the run's
+    /// kick-off, once every thread is in, and moved into the run's
+    /// [`SimReport`] by `finish`, which leaves this empty.
     reports: Vec<ThreadReport>,
     /// Whether a hardware thread runs a simulated thread, by hardware
     /// thread index.
@@ -226,7 +227,7 @@ pub struct Engine<P: Probe = NoProbe> {
     values: Vec<[u64; WORDS_PER_LINE]>,
     /// Dense index of each (line intern index, core) pair an op names,
     /// in first-use order (see [`Engine::pair_idx`]).
-    pairs: HashMap<(u32, u32), u32>,
+    pairs: HashMap<(u32, u32), u32, MulXorBuild>,
     /// Completion horizon of the exclusive hits on each pair's line in
     /// its core, by pair index.
     hit_busy: Vec<u64>,
@@ -358,7 +359,7 @@ impl<P: Probe> Engine<P> {
             caches,
             dir,
             values: Vec::new(),
-            pairs: HashMap::new(),
+            pairs: HashMap::default(),
             hit_busy: Vec::new(),
             fwd_busy: Vec::new(),
             port_busy: vec![0; nt],
@@ -475,10 +476,6 @@ impl<P: Probe> Engine<P> {
                 _ => NO_LINE,
             })
             .collect();
-        self.reports.push(ThreadReport {
-            hw_thread: hw.0,
-            ..ThreadReport::default()
-        });
         self.threads.push(ThreadSt {
             hw,
             core,
@@ -646,8 +643,17 @@ impl<P: Probe> Engine<P> {
                 });
             }
         }
-        // Kick off every thread at t=0.
+        // Kick off every thread at t=0. No thread joins from here on, so
+        // the tables `add_thread` grew by doubling give up their slack
+        // and the reports are built in one exact-size table.
         self.ran = true;
+        self.threads.shrink_to_fit();
+        self.values.shrink_to_fit();
+        self.waiters.shrink_to_fit();
+        self.fwd_busy.shrink_to_fit();
+        self.hit_busy.shrink_to_fit();
+        self.dir.shrink_to_fit();
+        self.reports = self.zeroed_reports();
         for tid in 0..self.threads.len() {
             self.schedule(0, Ev::Resume(tid as u32));
         }

@@ -57,22 +57,25 @@ impl<P: Probe> Engine<P> {
         }
     }
 
-    /// The report of a run that processed no events: zero cycles,
-    /// events and energy, and a zeroed [`ThreadReport`] per thread.
-    pub(super) fn empty_report(&self) -> SimReport {
-        let threads = self
-            .threads
+    /// A zeroed [`ThreadReport`] per thread, in one exact-size table.
+    pub(super) fn zeroed_reports(&self) -> Vec<ThreadReport> {
+        self.threads
             .iter()
             .map(|t| ThreadReport {
                 hw_thread: t.hw.0,
                 ..ThreadReport::default()
             })
-            .collect();
+            .collect()
+    }
+
+    /// The report of a run that processed no events: zero cycles,
+    /// events and energy, and a zeroed [`ThreadReport`] per thread.
+    pub(super) fn empty_report(&self) -> SimReport {
         SimReport {
             duration_cycles: 0,
             window_cycles: 0,
             freq_ghz: self.topo.freq_ghz,
-            threads,
+            threads: self.zeroed_reports(),
             transfers_by_domain: [0; 5],
             invalidations: 0,
             mem_accesses: 0,

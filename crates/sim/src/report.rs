@@ -16,8 +16,11 @@ pub struct LatencyStats {
     pub min: u64,
     /// Largest sample.
     pub max: u64,
-    /// log2 buckets.
-    pub hist: Vec<u64>,
+    /// log2 buckets, inline: a `LatencyStats` allocates nothing, so
+    /// `Engine::add_thread` makes none per thread for its report. Its
+    /// `Debug` text lists all 64 buckets, as a `Vec` of them would;
+    /// perfbench's digests hash that text.
+    pub hist: [u64; 64],
 }
 
 impl Default for LatencyStats {
@@ -27,7 +30,7 @@ impl Default for LatencyStats {
             sum: 0,
             min: u64::MAX,
             max: 0,
-            hist: vec![0; 64],
+            hist: [0; 64],
         }
     }
 }
@@ -433,6 +436,23 @@ mod tests {
         l.record(0);
         assert_eq!(l.hist[0], 1);
         assert_eq!(l.min, 0);
+    }
+
+    #[test]
+    fn histogram_text_lists_every_bucket() {
+        // The text a 64-entry `Vec` prints, which perfbench's digests
+        // were pinned with: a compact histogram must not change it.
+        let mut recorded = LatencyStats::default();
+        let mut want = vec![0u64; 64];
+        for (v, bucket) in [(0u64, 0), (3, 1), (3, 1), (1 << 20, 20), (1 << 63, 63)] {
+            recorded.record(v);
+            want[bucket] += 1;
+        }
+        for (stats, want) in [(LatencyStats::default(), vec![0; 64]), (recorded, want)] {
+            let text = format!("{:?}", stats.hist);
+            assert_eq!(text, format!("{want:?}"));
+            assert_eq!(text.split(", ").count(), 64, "{text}");
+        }
     }
 
     #[test]

@@ -13,15 +13,18 @@
 //!
 //! The engine's state grows with its threads and with the (line, core)
 //! pairs its ops name, not with every line times every core, and a run
-//! moves each thread's report out instead of copying it. Live bytes are
-//! counted beside allocations to check the first.
+//! moves each thread's report out instead of copying it. A report holds
+//! its latency histogram inline, and the reports are built in one
+//! exact-size table when the run starts, when the tables that
+//! `add_thread` grew by doubling give up their slack. Live bytes are
+//! counted beside allocations to check these.
 
 use bounce_atomics::Primitive;
 use bounce_sim::cache::SetAssocCache;
 use bounce_sim::{
     analyze_workload, ArbitrationPolicy, CoherenceKind, Engine, Program, SimConfig, SimParams,
 };
-use bounce_topo::{presets, MachineTopology, Placement};
+use bounce_topo::{presets, HwThreadId, MachineTopology, Placement};
 use bounce_workloads::{LockShape, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -80,6 +83,15 @@ static GLOBAL: Counting = Counting;
 /// Most extra allocations a run twice as long may make.
 const SLACK: u64 = 8;
 
+/// `n` threads of `workload`, compiled and packed onto `topo`.
+fn placed(topo: &MachineTopology, workload: &Workload, n: usize) -> Vec<(HwThreadId, Program)> {
+    Placement::Packed
+        .assign(topo, n)
+        .into_iter()
+        .zip(workload.sim_programs(n))
+        .collect()
+}
+
 /// Allocations made inside `try_run` by `n` threads of `workload`,
 /// packed onto `topo`, over a `cycles`-cycle fixed-length run.
 fn run_allocs(
@@ -90,8 +102,7 @@ fn run_allocs(
     cycles: u64,
 ) -> u64 {
     let mut eng = Engine::new(topo, SimConfig::new(params.clone(), cycles));
-    let hw = Placement::Packed.assign(topo, n);
-    for (h, program) in hw.into_iter().zip(workload.sim_programs(n)) {
+    for (h, program) in placed(topo, workload, n) {
         eng.add_thread(h, program);
     }
     let before = ALLOCS.with(Cell::get);
@@ -189,13 +200,75 @@ fn a_run_allocates_less_than_once_per_thread() {
     );
 }
 
+/// Live bytes that one engine plus its report hold after a `cycles`-cycle
+/// run of `n` threads of `workload` on KNL with its own parameters,
+/// counted from `Engine::new`.
+fn held_after_run(workload: &Workload, n: usize, cycles: u64) -> i64 {
+    let topo = presets::xeon_phi_7290();
+    let threads = placed(&topo, workload, n);
+    let before = LIVE.with(Cell::get);
+    let mut eng = Engine::new(&topo, SimConfig::new(SimParams::knl(), cycles));
+    for (h, program) in &threads {
+        eng.add_thread(*h, program.clone());
+    }
+    let report = eng.try_run().expect("the run completes");
+    let held = LIVE.with(Cell::get) - before;
+    assert!(
+        report.total_ops() > 0,
+        "{}: no op completed",
+        workload.label()
+    );
+    held
+}
+
+#[test]
+fn engine_and_report_hold_no_growth_slack() {
+    // 288 reports of 672 B each in one exact-size table take 194 KiB;
+    // pushed one at a time they would hold 512 slots, 336 KiB.
+    let lc = Workload::LowContention {
+        prim: Primitive::Faa,
+        work: 0,
+    };
+    let n = 288;
+    for (workload, bound_kib) in [(lc, 560), (HC_FAA, 340)] {
+        let held = held_after_run(&workload, n, 1_000_000);
+        assert!(
+            held < bound_kib << 10,
+            "{} on KNL at n={n}: the engine and its report hold {} KiB after the run",
+            workload.label(),
+            held >> 10
+        );
+    }
+}
+
+#[test]
+fn construction_allocates_less_than_twice_per_thread() {
+    // A thread's report holds its histogram inline and is built when
+    // the run starts, so `add_thread` allocates only the thread's table
+    // of resolved lines, and the engine's tables grow by doubling.
+    let topo = presets::xeon_phi_7290();
+    let n = 288;
+    let threads = placed(&topo, &HC_FAA, n);
+    let before = ALLOCS.with(Cell::get);
+    let mut eng = Engine::new(&topo, SimConfig::new(knl(ArbitrationPolicy::Fifo), 200_000));
+    for (h, program) in &threads {
+        eng.add_thread(*h, program.clone());
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert!(
+        allocs < 2 * n as u64,
+        "HC FAA on KNL at n={n}: Engine::new and add_thread made {allocs} allocations"
+    );
+    drop(eng);
+}
+
 #[test]
 fn engine_heap_grows_with_the_pairs_in_use() {
     // 288 threads on 72 cores, each FAA on a private line: 288 (line,
-    // core) pairs in use out of 288 × 72. A hit horizon for every line
-    // in every core would take 162 KiB plus growth slack and push the
-    // engine past the bound; the thread reports take ~236 KiB of what
-    // it holds, histograms included.
+    // core) pairs in use out of 288 × 72. The engine holds ~276 KiB
+    // here: the thread reports are built when the run starts. A hit
+    // horizon for every line in every core would add 162 KiB plus growth
+    // slack, which `engine_and_report_hold_no_growth_slack` catches.
     let topo = presets::xeon_phi_7290();
     let lc = Workload::LowContention {
         prim: Primitive::Faa,
