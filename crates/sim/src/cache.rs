@@ -78,21 +78,41 @@ struct Way {
 /// which may move the set's ways.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot {
+    /// Position of the set in `SetAssocCache::landed`.
     set: usize,
     way: usize,
+}
+
+/// The most sets a [`SetAssocCache`] may have: each set's position in
+/// the list of landed sets, and the set's own number, fit a `u16`.
+pub const MAX_SETS: usize = 1 << u16::BITS;
+
+/// The ways of a set that some line has landed in.
+#[derive(Debug, Clone)]
+struct Landed {
+    /// The set's number.
+    set: u16,
+    ways: Vec<Way>,
 }
 
 /// A set-associative cache of line *states* (data lives in the engine's
 /// value map — the simulator is coherence-accurate, not data-layout
 /// accurate).
 ///
-/// The sets are built on the first [`install`](Self::install): a core
-/// that never holds a line costs no allocation, and until then every
-/// line reads Invalid.
+/// A set gets storage when a line first lands in it: its ways join the
+/// list of landed sets, and a per-set index of 2 B entries points into
+/// that list. A new cache allocates nothing, and until its first install
+/// every line reads Invalid.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    /// Empty until the first install, then `mask + 1` sets.
-    sets: Vec<Vec<Way>>,
+    /// Each set's position in `landed`. Built when a second set lands:
+    /// until then every line looks in `landed[0]`. A set that has not
+    /// landed points anywhere, which is safe because a scan matches
+    /// whole tags: it finds no line of this set in another set's ways.
+    index: Vec<u16>,
+    /// The sets that some line has landed in, in landing order. A set
+    /// stays here, with its ways' capacity, when its lines leave.
+    landed: Vec<Landed>,
     /// Set count minus one (the count is a power of two).
     mask: usize,
     ways: usize,
@@ -103,9 +123,11 @@ impl SetAssocCache {
     /// A cache with `sets` sets of `ways` ways. Allocates nothing.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two(), "sets must be a power of two");
+        assert!(sets <= MAX_SETS, "at most {MAX_SETS} sets");
         assert!(ways >= 1);
         SetAssocCache {
-            sets: Vec::new(),
+            index: Vec::new(),
+            landed: Vec::new(),
             mask: sets - 1,
             ways,
             stamp: 0,
@@ -114,6 +136,13 @@ impl SetAssocCache {
 
     fn set_of(&self, line: LineId) -> usize {
         (line.0 as usize) & self.mask
+    }
+
+    /// Position in `landed` where `set`'s ways would be: the set's own
+    /// when it has landed, or some other set's (or none) when not.
+    #[inline]
+    fn position(&self, set: usize) -> usize {
+        self.index.get(set).map_or(0, |&p| usize::from(p))
     }
 
     /// Current state of `line` (Invalid when absent).
@@ -125,8 +154,8 @@ impl SetAssocCache {
     /// `line`'s slot and state, or `None` when it is absent (Invalid).
     #[inline]
     pub fn find(&self, line: LineId) -> Option<(Slot, LineState)> {
-        let set = self.set_of(line);
-        let ways = self.sets.get(set)?;
+        let set = self.position(self.set_of(line));
+        let ways = &self.landed.get(set)?.ways;
         let way = ways.iter().position(|w| w.tag == line)?;
         Some((Slot { set, way }, ways[way].state))
     }
@@ -135,30 +164,50 @@ impl SetAssocCache {
     #[inline]
     pub fn touch_at(&mut self, slot: Slot) {
         self.stamp += 1;
-        self.sets[slot.set][slot.way].last_use = self.stamp;
+        self.landed[slot.set].ways[slot.way].last_use = self.stamp;
     }
 
     /// Exclusive → Modified at `slot`: a write hit on the clean sole
     /// copy, which needs no coherence transaction.
     #[inline]
     pub fn upgrade_at(&mut self, slot: Slot) {
-        let way = &mut self.sets[slot.set][slot.way];
+        let way = &mut self.landed[slot.set].ways[slot.way];
         debug_assert_eq!(way.state, LineState::Exclusive, "only E upgrades in place");
         way.state = LineState::Modified;
+    }
+
+    /// The ways of `set`, which get storage here if no line has landed
+    /// in the set before.
+    fn land(&mut self, set: usize) -> &mut Vec<Way> {
+        let mut pos = self.position(set);
+        let landed = self
+            .landed
+            .get(pos)
+            .is_some_and(|l| usize::from(l.set) == set);
+        if !landed {
+            pos = self.landed.len();
+            if pos == 1 {
+                self.index = vec![0; self.mask + 1];
+            }
+            if let Some(entry) = self.index.get_mut(set) {
+                *entry = u16::try_from(pos).expect("at most MAX_SETS sets land");
+            }
+            self.landed.push(Landed {
+                set: u16::try_from(set).expect("at most MAX_SETS sets"),
+                ways: Vec::new(),
+            });
+        }
+        &mut self.landed[pos].ways
     }
 
     /// Install `line` in `state`, evicting the LRU way if the set is
     /// full. Returns the evicted line and its state, if any.
     pub fn install(&mut self, line: LineId, state: LineState) -> Option<(LineId, LineState)> {
         debug_assert!(state != LineState::Invalid, "install Invalid is remove");
-        if self.sets.is_empty() {
-            self.sets = vec![Vec::new(); self.mask + 1];
-        }
         self.stamp += 1;
         let stamp = self.stamp;
         let ways = self.ways;
-        let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
+        let set = self.land(self.set_of(line));
         if let Some(w) = set.iter_mut().find(|w| w.tag == line) {
             w.state = state;
             w.last_use = stamp;
@@ -194,10 +243,11 @@ impl SetAssocCache {
         let Some((Slot { set, way }, _)) = self.find(line) else {
             return;
         };
+        let ways = &mut self.landed[set].ways;
         if state == LineState::Invalid {
-            self.sets[set].remove(way);
+            ways.remove(way);
         } else {
-            self.sets[set][way].state = state;
+            ways[way].state = state;
         }
     }
 
@@ -208,7 +258,7 @@ impl SetAssocCache {
 
     /// Number of valid lines currently held.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.landed.iter().map(|l| l.ways.len()).sum()
     }
 }
 
@@ -316,5 +366,11 @@ mod tests {
     #[should_panic]
     fn non_power_of_two_sets_rejected() {
         let _ = SetAssocCache::new(3, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 sets")]
+    fn more_sets_than_a_u16_addresses_rejected() {
+        let _ = SetAssocCache::new(MAX_SETS << 1, 2);
     }
 }

@@ -1,6 +1,7 @@
 //! Simulation parameters: protocol latencies, energy coefficients,
 //! arbitration and home-mapping policies, and per-machine presets.
 
+use crate::cache;
 use crate::faults::{FabricFaultConfig, FaultConfig};
 use bounce_atomics::Primitive;
 use bounce_topo::{CoherenceKind, MachineTopology};
@@ -390,7 +391,7 @@ pub struct SimParams {
     pub load_exec: u32,
     /// Execution cost of a plain store (into the store buffer).
     pub store_exec: u32,
-    /// L1 sets (power of two).
+    /// L1 sets (a power of two, at most [`cache::MAX_SETS`]).
     pub l1_sets: usize,
     /// L1 ways.
     pub l1_ways: usize,
@@ -523,6 +524,12 @@ impl SimParams {
                 format!("{} is not a power of two", self.l1_sets),
             ));
         }
+        if self.l1_sets > cache::MAX_SETS {
+            return Err(ConfigError::new(
+                "l1_sets",
+                format!("{} is above {}", self.l1_sets, cache::MAX_SETS),
+            ));
+        }
         if self.l1_ways == 0 {
             return Err(ConfigError::new("l1_ways", "must be >= 1".to_string()));
         }
@@ -621,9 +628,6 @@ pub struct SimConfig {
     pub duration_cycles: u64,
     /// Measurements are recorded only at and after this instant.
     pub warmup_cycles: u64,
-    /// Per-op latency histogram collection. Off skips the recording
-    /// only: each histogram is a fixed inline array either way.
-    pub collect_latency: bool,
     /// Forward-progress watchdog limits.
     pub watchdog: Watchdog,
 }
@@ -646,7 +650,6 @@ impl SimConfig {
             params,
             duration_cycles,
             warmup_cycles,
-            collect_latency: true,
             watchdog: Watchdog::default(),
         }
     }
@@ -702,10 +705,24 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_l1_sets_the_engine_cannot_build() {
+        // The L1's set index is 16 bits wide: `Engine::new` panics on
+        // more sets, where a run should get a typed error.
+        let mut p = SimParams::e5();
+        p.l1_sets = 1 << 40;
+        let e = p.validate().unwrap_err();
+        assert_eq!(e.field, "l1_sets");
+        assert!(e.to_string().contains(&(1u64 << 40).to_string()), "{e}");
+        p.l1_sets = 1 << 17;
+        assert_eq!(p.validate().unwrap_err().field, "l1_sets");
+        p.l1_sets = 1 << 16;
+        p.validate().unwrap();
+    }
+
+    #[test]
     fn config_defaults_warmup() {
         let c = SimConfig::new(SimParams::e5(), 1000);
         assert_eq!(c.warmup_cycles, 100);
-        assert!(c.collect_latency);
     }
 
     #[test]

@@ -323,9 +323,7 @@ impl<P: Probe> Engine<P> {
                 }
             }
             rep.ops_by_prim[op.prim.index()] += 1;
-            if self.cfg.collect_latency {
-                rep.latency.record(lat);
-            }
+            rep.latency.record(lat);
         }
         self.threads[tid].pc += 1;
         self.run_thread(tid);

@@ -45,6 +45,14 @@ fn event_payloads_stay_small() {
 }
 
 #[test]
+fn thread_reports_stay_small() {
+    // The run builds one report per thread, 288 on KNL: a histogram
+    // bucket moved back inline adds 8 B to each.
+    let report = size_of::<ThreadReport>();
+    assert!(report <= 368, "ThreadReport is {report} B");
+}
+
+#[test]
 fn single_thread_faa_accumulates() {
     let topo = tiny();
     let mut eng = Engine::new(&topo, cfg(200_000));

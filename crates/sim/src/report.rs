@@ -3,6 +3,85 @@
 
 use bounce_topo::Domain;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::ops::{Index, IndexMut};
+
+/// Buckets a [`Buckets`] holds inline: every latency below 2^24 cycles.
+/// A latency cannot exceed its run, and the longest runs are a few
+/// million cycles, so no run fills the other 40.
+const INLINE: usize = 24;
+
+/// What the upper buckets read before a sample lands in one.
+static NO_SPILL: [u64; 64 - INLINE] = [0; 64 - INLINE];
+
+/// The 64 log2 buckets of a [`LatencyStats`]: the lower 24 inline, the
+/// upper 40 allocated on the first sample that lands in one. It
+/// indexes, iterates and prints (`Debug`) as a `[u64; 64]` would;
+/// perfbench's digests hash that text.
+#[derive(Clone, Default)]
+pub struct Buckets {
+    low: [u64; INLINE],
+    spill: Option<Box<[u64; 64 - INLINE]>>,
+}
+
+impl Buckets {
+    /// All 64 buckets in order, the unallocated upper ones as 0.
+    pub fn iter(&self) -> impl Iterator<Item = &u64> {
+        self.low.iter().chain(self.upper())
+    }
+
+    fn upper(&self) -> &[u64; 64 - INLINE] {
+        self.spill.as_deref().unwrap_or(&NO_SPILL)
+    }
+
+    /// The upper buckets, allocated on first use.
+    #[cold]
+    #[inline(never)]
+    fn spill_mut(&mut self) -> &mut [u64; 64 - INLINE] {
+        self.spill.get_or_insert_with(|| Box::new(NO_SPILL))
+    }
+
+    /// Add `other`'s counts bucket by bucket.
+    fn add(&mut self, other: &Buckets) {
+        for (a, b) in self.low.iter_mut().zip(&other.low) {
+            *a += b;
+        }
+        if let Some(spill) = &other.spill {
+            for (a, b) in self.spill_mut().iter_mut().zip(spill.iter()) {
+                *a += b;
+            }
+        }
+    }
+}
+
+impl Index<usize> for Buckets {
+    type Output = u64;
+
+    #[inline]
+    fn index(&self, bucket: usize) -> &u64 {
+        match self.low.get(bucket) {
+            Some(n) => n,
+            None => &self.upper()[bucket - INLINE],
+        }
+    }
+}
+
+impl IndexMut<usize> for Buckets {
+    #[inline]
+    fn index_mut(&mut self, bucket: usize) -> &mut u64 {
+        if bucket < INLINE {
+            &mut self.low[bucket]
+        } else {
+            &mut self.spill_mut()[bucket - INLINE]
+        }
+    }
+}
+
+impl fmt::Debug for Buckets {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// A log2-bucketed latency histogram (cycles). Bucket `i` holds samples
 /// with `floor(log2(latency)) == i`; bucket 0 also holds latency 0.
@@ -16,11 +95,9 @@ pub struct LatencyStats {
     pub min: u64,
     /// Largest sample.
     pub max: u64,
-    /// log2 buckets, inline: a `LatencyStats` allocates nothing, so
-    /// `Engine::add_thread` makes none per thread for its report. Its
-    /// `Debug` text lists all 64 buckets, as a `Vec` of them would;
-    /// perfbench's digests hash that text.
-    pub hist: [u64; 64],
+    /// log2 buckets. The lower 24 are inline, so a `LatencyStats`
+    /// allocates nothing until a sample of 2^24 cycles or more.
+    pub hist: Buckets,
 }
 
 impl Default for LatencyStats {
@@ -30,7 +107,7 @@ impl Default for LatencyStats {
             sum: 0,
             min: u64::MAX,
             max: 0,
-            hist: [0; 64],
+            hist: Buckets::default(),
         }
     }
 }
@@ -79,9 +156,7 @@ impl LatencyStats {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        for (a, b) in self.hist.iter_mut().zip(&other.hist) {
-            *a += b;
-        }
+        self.hist.add(&other.hist);
     }
 }
 
@@ -417,6 +492,7 @@ pub fn jain(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn latency_stats_basic() {
@@ -452,6 +528,148 @@ mod tests {
             let text = format!("{:?}", stats.hist);
             assert_eq!(text, format!("{want:?}"));
             assert_eq!(text.split(", ").count(), 64, "{text}");
+        }
+    }
+
+    /// The histogram as a plain 64-bucket array, as `LatencyStats` kept
+    /// it before its upper buckets moved out of line.
+    struct Flat {
+        count: u64,
+        sum: u64,
+        min: u64,
+        max: u64,
+        hist: [u64; 64],
+    }
+
+    impl Flat {
+        fn new() -> Self {
+            Flat {
+                count: 0,
+                sum: 0,
+                min: u64::MAX,
+                max: 0,
+                hist: [0; 64],
+            }
+        }
+
+        fn record(&mut self, cycles: u64) {
+            self.count += 1;
+            self.sum += cycles;
+            self.min = self.min.min(cycles);
+            self.max = self.max.max(cycles);
+            self.hist[63 - cycles.max(1).leading_zeros() as usize] += 1;
+        }
+
+        fn merge(&mut self, other: &Flat) {
+            self.count += other.count;
+            self.sum += other.sum;
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+            for (a, b) in self.hist.iter_mut().zip(&other.hist) {
+                *a += b;
+            }
+        }
+
+        fn quantile(&self, q: f64) -> f64 {
+            if self.count == 0 {
+                return 0.0;
+            }
+            let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
+            let mut seen = 0u64;
+            for (i, &n) in self.hist.iter().enumerate() {
+                seen += n;
+                if seen >= target {
+                    return 1.5 * (1u64 << i) as f64;
+                }
+            }
+            self.max as f64
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum HistOp {
+        Record(u64),
+        /// Merge in a histogram of these samples.
+        Merge(Vec<u64>),
+        /// `hist[bucket] += k`.
+        Bump(usize, u64),
+    }
+
+    /// Latencies of every bit width, and the edges of the inline range.
+    fn latency() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            Just((1 << 24) - 1),
+            Just(1 << 24),
+            Just(u64::MAX),
+            (0u32..64, any::<u64>()).prop_map(|(shift, bits)| bits >> shift),
+            (0u32..64, any::<u64>()).prop_map(|(shift, bits)| bits >> shift),
+        ]
+    }
+
+    fn hist_op() -> impl Strategy<Value = HistOp> {
+        prop_oneof![
+            latency().prop_map(HistOp::Record),
+            latency().prop_map(HistOp::Record),
+            collection::vec(latency(), 0..6).prop_map(HistOp::Merge),
+            (0usize..64, 0u64..1000).prop_map(|(bucket, k)| HistOp::Bump(bucket, k)),
+        ]
+    }
+
+    /// Record each sample into both forms, skipping any that would
+    /// overflow the sum (a run cannot make one).
+    fn record_both(stats: &mut LatencyStats, flat: &mut Flat, samples: &[u64]) {
+        for &v in samples {
+            if flat.sum.checked_add(v).is_some() {
+                stats.record(v);
+                flat.record(v);
+            }
+        }
+    }
+
+    proptest! {
+        /// The inline-plus-spill histogram reads, prints and answers
+        /// quantiles exactly as the plain array did.
+        #[test]
+        fn buckets_match_a_plain_array(ops in collection::vec(hist_op(), 0..60)) {
+            let mut stats = LatencyStats::default();
+            let mut flat = Flat::new();
+            for op in &ops {
+                match op {
+                    HistOp::Record(v) => record_both(&mut stats, &mut flat, &[*v]),
+                    HistOp::Merge(samples) => {
+                        let mut other = LatencyStats::default();
+                        let mut other_flat = Flat::new();
+                        record_both(&mut other, &mut other_flat, samples);
+                        if flat.sum.checked_add(other_flat.sum).is_some() {
+                            stats.merge(&other);
+                            flat.merge(&other_flat);
+                        }
+                    }
+                    HistOp::Bump(bucket, k) => {
+                        stats.hist[*bucket] += k;
+                        flat.hist[*bucket] += k;
+                    }
+                }
+            }
+            prop_assert_eq!(
+                (stats.count, stats.sum, stats.min, stats.max),
+                (flat.count, flat.sum, flat.min, flat.max)
+            );
+            prop_assert_eq!(format!("{:?}", stats.hist), format!("{:?}", flat.hist));
+            let listed: Vec<u64> = stats.hist.iter().copied().collect();
+            prop_assert_eq!(listed, flat.hist.to_vec());
+            for bucket in 0..64 {
+                prop_assert_eq!(stats.hist[bucket], flat.hist[bucket], "bucket {}", bucket);
+            }
+            for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0] {
+                prop_assert_eq!(
+                    stats.quantile(q).to_bits(),
+                    flat.quantile(q).to_bits(),
+                    "q = {}",
+                    q
+                );
+            }
         }
     }
 

@@ -3,8 +3,10 @@
 //! allocations made inside `Engine::try_run`: its tables, queues and
 //! lists grow to their peak early in a run and are reused after, so
 //! doubling the run may add a few allocations (a slightly higher peak)
-//! but none in proportion to the events processed. A core's L1 sets
-//! are built on its first install, so a new cache allocates nothing.
+//! but none in proportion to the events processed. A core's L1 holds
+//! storage only for the sets a line has landed in, so a new cache
+//! allocates nothing and a cache holding one line holds a few hundred
+//! bytes.
 //!
 //! The program layer allocates per distinct thread body, not per
 //! thread: threads share one step list, so cloning a program allocates
@@ -14,13 +16,13 @@
 //! The engine's state grows with its threads and with the (line, core)
 //! pairs its ops name, not with every line times every core, and a run
 //! moves each thread's report out instead of copying it. A report holds
-//! its latency histogram inline, and the reports are built in one
-//! exact-size table when the run starts, when the tables that
-//! `add_thread` grew by doubling give up their slack. Live bytes are
-//! counted beside allocations to check these.
+//! inline only the histogram buckets a run can fill, and the reports
+//! are built in one exact-size table when the run starts, when the
+//! tables that `add_thread` grew by doubling give up their slack. Live
+//! bytes are counted beside allocations to check these.
 
 use bounce_atomics::Primitive;
-use bounce_sim::cache::SetAssocCache;
+use bounce_sim::cache::{LineId, LineState, SetAssocCache};
 use bounce_sim::{
     analyze_workload, ArbitrationPolicy, CoherenceKind, Engine, Program, SimConfig, SimParams,
 };
@@ -155,6 +157,20 @@ fn new_cache_allocates_nothing() {
 }
 
 #[test]
+fn cache_holding_one_line_holds_only_its_set() {
+    // The presets' geometry. A 24-B `Vec` header for each of the 64
+    // sets would hold 1,632 B with one line in.
+    let mut cache = SetAssocCache::new(64, 8);
+    let (allocs_before, live_before) = (ALLOCS.with(Cell::get), LIVE.with(Cell::get));
+    assert!(cache.install(LineId(0x1234), LineState::Modified).is_none());
+    let allocs = ALLOCS.with(Cell::get) - allocs_before;
+    let held = LIVE.with(Cell::get) - live_before;
+    assert_eq!(cache.occupancy(), 1);
+    assert!(held < 512, "a 64-set cache holding one line holds {held} B");
+    assert!(allocs <= 2, "the first install made {allocs} allocations");
+}
+
+#[test]
 fn program_clone_allocates_nothing() {
     let program = HC_FAA.sim_programs(1).remove(0);
     let before = ALLOCS.with(Cell::get);
@@ -201,13 +217,13 @@ fn a_run_allocates_less_than_once_per_thread() {
 }
 
 /// Live bytes that one engine plus its report hold after a `cycles`-cycle
-/// run of `n` threads of `workload` on KNL with its own parameters,
-/// counted from `Engine::new`.
-fn held_after_run(workload: &Workload, n: usize, cycles: u64) -> i64 {
+/// run of `n` threads of `workload` on KNL under `params`, counted from
+/// `Engine::new`.
+fn held_after_run(params: SimParams, workload: &Workload, n: usize, cycles: u64) -> i64 {
     let topo = presets::xeon_phi_7290();
     let threads = placed(&topo, workload, n);
     let before = LIVE.with(Cell::get);
-    let mut eng = Engine::new(&topo, SimConfig::new(SimParams::knl(), cycles));
+    let mut eng = Engine::new(&topo, SimConfig::new(params, cycles));
     for (h, program) in &threads {
         eng.add_thread(*h, program.clone());
     }
@@ -223,15 +239,16 @@ fn held_after_run(workload: &Workload, n: usize, cycles: u64) -> i64 {
 
 #[test]
 fn engine_and_report_hold_no_growth_slack() {
-    // 288 reports of 672 B each in one exact-size table take 194 KiB;
-    // pushed one at a time they would hold 512 slots, 336 KiB.
+    // 288 reports of 360 B each in one exact-size table take 101 KiB;
+    // pushed one at a time they would hold 512 slots, 180 KiB. All 64
+    // histogram buckets inline would make each report 672 B.
     let lc = Workload::LowContention {
         prim: Primitive::Faa,
         work: 0,
     };
     let n = 288;
-    for (workload, bound_kib) in [(lc, 560), (HC_FAA, 340)] {
-        let held = held_after_run(&workload, n, 1_000_000);
+    for (workload, bound_kib) in [(lc, 400), (HC_FAA, 280)] {
+        let held = held_after_run(SimParams::knl(), &workload, n, 1_000_000);
         assert!(
             held < bound_kib << 10,
             "{} on KNL at n={n}: the engine and its report hold {} KiB after the run",
@@ -239,6 +256,20 @@ fn engine_and_report_hold_no_growth_slack() {
             held >> 10
         );
     }
+}
+
+#[test]
+fn every_core_holding_the_line_holds_only_its_set() {
+    // Under FIFO every one of KNL's 72 cores installs the line. With a
+    // header for each of their 64 sets the L1s would hold 115 KiB, not
+    // 16 KiB.
+    let n = 288;
+    let held = held_after_run(knl(ArbitrationPolicy::Fifo), &HC_FAA, n, 1_000_000);
+    assert!(
+        held < 300 << 10,
+        "HC FAA on KNL at n={n} under FIFO: the engine and its report hold {} KiB after the run",
+        held >> 10
+    );
 }
 
 #[test]
