@@ -28,7 +28,6 @@
 use crate::backoff::Backoff;
 use crate::cell::{Cell64, CellBool, CellModel, CellPtr, Ordering, StdCell};
 use crate::padded::CachePadded;
-use serde::{Deserialize, Serialize};
 
 /// Lock algorithm *shape* as the analytical model and the workload layer
 /// see it: the four-rung ladder of experiment E10 (TAS → TTAS → ticket →
@@ -37,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// This is the model-facing sibling of [`LockKind`] (which identifies
 /// concrete native implementations, including CLH): the simulator
 /// workloads and the `predict` layer both key on `LockShape`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockShape {
     /// Spin on TAS — every spin is an RMW on the lock line.
     Tas,

@@ -17,7 +17,6 @@
 //! loads/stores are plain `mov`s. The *uncontended* cost asymmetry between
 //! these is exactly what experiment E2 (Table 2) measures.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An atomic primitive applied to one 64-bit memory word.
@@ -36,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// assert_eq!(new, 6);
 /// assert_eq!(out2.success, out.success);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Primitive {
     /// Plain atomic load (`mov` on x86).
     Load,

@@ -588,7 +588,7 @@ fn main() -> ExitCode {
                 );
             }
             eprintln!(
-                "validate: {} entries; sim {:.1}s, model {:.4}s over {} predictions",
+                "validate: {} entries; sim {:.3}s, model {:.6}s over {} predictions",
                 report.entries.len(),
                 report.sim_seconds,
                 report.model_seconds,
@@ -608,7 +608,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "fit" => {
-            use bounce_harness::campaign::{default_cfg, try_fit_and_validate, TrainSplit};
+            use bounce_harness::campaign::{default_cfg, fit_and_validate, TrainSplit};
             let machine = args.machine.unwrap_or(Machine::E5);
             let topo = machine.topo();
             let ns: Vec<usize> = if args.quick {
@@ -617,7 +617,7 @@ fn main() -> ExitCode {
                 machine.sweep_ns(false)
             };
             eprintln!("measuring + fitting on simulated {} ...", topo.name);
-            let c = match try_fit_and_validate(
+            let c = match fit_and_validate(
                 &topo,
                 args.prim,
                 &ns,

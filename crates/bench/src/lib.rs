@@ -1,6 +1,9 @@
-//! Benchmark support: shared helpers for the Criterion benches and the
-//! `repro` binary that regenerates every table and figure of the
-//! evaluation.
+//! Support for the `repro` binary, which regenerates every table and
+//! figure of the evaluation: output writing, the run manifest and the
+//! conformance pass. The package's Criterion benches time single layers
+//! (the engine hot path, the event queue, the program layer) and the
+//! host's real atomics; perfbench (`perfbench/`) benchmarks the campaign
+//! itself.
 
 #![warn(missing_docs)]
 
@@ -10,19 +13,11 @@ pub mod manifest;
 use bounce_harness::report::Table;
 use manifest::{fnv1a_hex, FileRecord};
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 
-/// Write a table as TSV under `dir/<id>.tsv`, creating the directory.
-pub fn write_tsv(dir: &Path, id: &str, table: &Table) -> std::io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let mut f = fs::File::create(dir.join(format!("{id}.tsv")))?;
-    f.write_all(table.to_tsv().as_bytes())
-}
-
-/// Emit a gnuplot script that plots a TSV written by [`write_tsv`]:
-/// first column on the x axis, every numeric column as a series, PNG
-/// output next to the data.
+/// Emit a gnuplot script that plots the `<id>.tsv` that
+/// [`write_table_outputs`] writes: first column on the x axis, every
+/// numeric column as a series, PNG output next to the data.
 pub fn gnuplot_script(id: &str, table: &Table) -> String {
     let mut s = String::new();
     s.push_str("set terminal pngcairo size 900,540 enhanced\n");
@@ -58,13 +53,6 @@ pub fn gnuplot_script(id: &str, table: &Table) -> String {
         s.push_str(&format!("plot {}\n", plots.join(", \\\n     ")));
     }
     s
-}
-
-/// Write a table's TSV *and* its gnuplot script under `dir`.
-pub fn write_tsv_with_plot(dir: &Path, id: &str, table: &Table) -> std::io::Result<()> {
-    write_tsv(dir, id, table)?;
-    let mut f = fs::File::create(dir.join(format!("{id}.gp")))?;
-    f.write_all(gnuplot_script(id, table).as_bytes())
 }
 
 /// Write all output files of one experiment (TSV, plus the gnuplot
@@ -112,18 +100,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tsv_roundtrip_via_disk() {
-        let mut t = Table::new("t", &["a"]);
-        t.push(vec!["1".into()]);
-        let dir = std::env::temp_dir().join("bounce-bench-test");
-        write_tsv(&dir, "demo", &t).unwrap();
-        let content = std::fs::read_to_string(dir.join("demo.tsv")).unwrap();
-        assert!(content.contains("# t"));
-        assert!(content.contains('1'));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn gnuplot_script_plots_numeric_columns_only() {
         let mut t = Table::new("demo title", &["n", "x_mops", "label"]);
         t.push(vec!["1".into(), "10.5".into(), "abc".into()]);
@@ -142,17 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn write_tsv_with_plot_creates_both_files() {
-        let mut t = Table::new("t", &["n", "v"]);
-        t.push(vec!["1".into(), "2".into()]);
-        let dir = std::env::temp_dir().join("bounce-bench-plot-test");
-        write_tsv_with_plot(&dir, "demo", &t).unwrap();
-        assert!(dir.join("demo.tsv").exists());
-        assert!(dir.join("demo.gp").exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn write_table_outputs_records_match_disk() {
         let mut t = Table::new("t", &["n", "v"]);
         t.push(vec!["1".into(), "2".into()]);
@@ -164,6 +129,9 @@ mod tests {
             let bytes = std::fs::read(dir.join(&r.path)).unwrap();
             assert_eq!(fnv1a_hex(&bytes), r.hash, "hash of {}", r.path);
         }
+        let tsv = std::fs::read_to_string(dir.join("demo.tsv")).unwrap();
+        assert!(tsv.starts_with("# t\n"), "title line first: {tsv}");
+        assert!(tsv.contains("1\t2"), "{tsv}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,10 +8,9 @@
 
 use bounce_atomics::Primitive;
 use bounce_topo::Domain;
-use serde::{Deserialize, Serialize};
 
 /// Exclusive-ownership transfer cost (cycles) per communication domain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferCosts {
     /// Between SMT siblings on one core (line stays in the shared L1;
     /// cost is the local serialisation on the line).
@@ -44,7 +43,7 @@ impl TransferCosts {
 }
 
 /// The full parameter set for one machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelParams {
     /// Uncontended cost (cycles) of each primitive, indexed by
     /// [`Primitive::ALL`] order: the L1-hit issue+retire latency.

@@ -83,12 +83,6 @@ impl BouncingModel {
         &self.params
     }
 
-    /// Replace the parameters (used by fitting).
-    pub fn set_params(&mut self, params: ModelParams) {
-        params.validate().expect("invalid model parameters");
-        self.params = params;
-    }
-
     fn cycles_per_sec(&self) -> f64 {
         self.params.freq_ghz * 1e9
     }
@@ -441,17 +435,6 @@ impl BouncingModel {
         let static_per_op_j = n as f64 * self.params.static_w_per_core / x_ops_per_sec;
         static_per_op_j * 1e9 + self.params.dynamic_nj_per_op
     }
-
-    /// Sweep helper: HC predictions for every thread count in `ns`,
-    /// using the placement's first-`n` prefixes.
-    pub fn hc_sweep(&self, order: &[HwThreadId], prim: Primitive, ns: &[usize]) -> Vec<Prediction> {
-        ns.iter()
-            .map(|&n| {
-                assert!(n <= order.len(), "sweep point {n} exceeds placement");
-                self.predict_hc(&order[..n], prim)
-            })
-            .collect()
-    }
 }
 
 impl Predictor for BouncingModel {
@@ -656,16 +639,6 @@ mod tests {
         let cold16 = m.predict_dilution(&order[..16], Primitive::Faa, 100_000.0);
         let r = cold16.throughput_ops_per_sec / cold4.throughput_ops_per_sec;
         assert!((r - 4.0).abs() < 0.5, "diluted regime scales: {r:.2}");
-    }
-
-    #[test]
-    fn hc_sweep_convenience() {
-        let m = e5_model();
-        let order = Placement::Packed.full_order(m.topo());
-        let preds = m.hc_sweep(&order, Primitive::Cas, &[1, 2, 4, 8]);
-        assert_eq!(preds.len(), 4);
-        assert_eq!(preds[0].n, 1);
-        assert_eq!(preds[3].n, 8);
     }
 
     #[test]

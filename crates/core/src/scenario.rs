@@ -23,14 +23,13 @@
 
 use bounce_atomics::{LockShape, Primitive};
 use bounce_topo::HwThreadId;
-use serde::{Deserialize, Serialize};
 
 /// A complete description of one predictable execution scenario.
 ///
 /// Thread placements are owned `Vec`s so scenarios can be stored,
 /// serialized and replayed; the constructors take slices for call-site
 /// convenience.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Scenario {
     /// All threads apply `prim` back-to-back to one shared line.
     HighContention {
@@ -214,7 +213,7 @@ impl Scenario {
 /// Per-[`LockShape`] handoff rates (critical sections per second), the
 /// model's answer to a [`Scenario::LockHandoff`]. Replaces the old
 /// positional 4-tuple.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LockHandoffs {
     rates: [f64; 4],
 }
@@ -244,7 +243,7 @@ impl LockHandoffs {
 
 /// Scenario-specific extras a [`Prediction`] may carry beyond the
 /// common throughput/latency/energy fields.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PredictionDetail {
     /// Nothing beyond the common fields.
     None,
@@ -276,7 +275,7 @@ pub enum PredictionDetail {
 /// as such (e.g. latency for a CAS retry loop). The field names match
 /// the old per-regime structs so downstream field accesses read the
 /// same.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
     /// Number of participating threads.
     pub n: usize,

@@ -8,11 +8,10 @@
 
 use crate::scenario::{Prediction, Scenario};
 use bounce_atomics::LockShape;
-use serde::{Deserialize, Serialize};
 
 /// Which predicted quantity a validation compares against the
 /// measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ValidationMetric {
     /// The prediction's top-level throughput (ops/s; goodput for CAS
     /// loops, combined rate for mixed read/write).
@@ -62,7 +61,7 @@ pub fn validated_rows(
 }
 
 /// One prediction-vs-measurement comparison point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ValidationRow {
     /// Thread count (or other sweep variable).
     pub n: usize,

@@ -5,6 +5,7 @@
 use crate::measurement::Measurement;
 use crate::modeltime::predict_timed;
 use crate::simrun::SimRunConfig;
+use crate::sweeps::sweep_threads;
 use bounce_atomics::Primitive;
 use bounce_core::fit::{fit_transfer_costs, FitReport, ScenarioObservation};
 use bounce_core::validate::{mape, validated_rows, ValidationMetric, ValidationRow};
@@ -48,26 +49,9 @@ impl Campaign {
 
 /// Run the full campaign: measure the HC sweep for `prim` at every
 /// `ns`, fit the transfer costs on the chosen split, and validate both
-/// throughput and mean latency against the fitted model.
-///
-/// # Panics
-/// Panics if any sweep point trips the forward-progress watchdog; use
-/// [`try_fit_and_validate`] for the structured error.
+/// throughput and mean latency against the fitted model. A failing sweep
+/// point's [`bounce_sim::SimError`] is returned.
 pub fn fit_and_validate(
-    topo: &MachineTopology,
-    prim: Primitive,
-    ns: &[usize],
-    cfg: &SimRunConfig,
-    initial: &ModelParams,
-    split: TrainSplit,
-) -> Campaign {
-    try_fit_and_validate(topo, prim, ns, cfg, initial, split)
-        .unwrap_or_else(|e| panic!("simulation failed: {e}"))
-}
-
-/// [`fit_and_validate`] surfacing watchdog diagnoses as a
-/// [`bounce_sim::SimError`] instead of panicking.
-pub fn try_fit_and_validate(
     topo: &MachineTopology,
     prim: Primitive,
     ns: &[usize],
@@ -77,10 +61,7 @@ pub fn try_fit_and_validate(
 ) -> Result<Campaign, bounce_sim::SimError> {
     let w = Workload::HighContention { prim };
     let order = PlacementOrder::new(cfg.placement, topo);
-    let measurements: Vec<Measurement> =
-        crate::parallel::par_map(ns, |&n| crate::simrun::try_sim_measure(topo, &w, n, cfg))
-            .into_iter()
-            .collect::<Result<_, _>>()?;
+    let measurements = sweep_threads(topo, &w, ns, cfg)?;
     let multi: Vec<&Measurement> = measurements.iter().filter(|m| m.n >= 2).collect();
     // Each point's model input is the scenario the workload itself
     // derives — the same source of truth the simulator programs come
@@ -156,7 +137,8 @@ mod tests {
             &cfg,
             &ModelParams::tiny_default(),
             TrainSplit::All,
-        );
+        )
+        .expect("tiny-machine sweep measures");
         assert_eq!(c.measurements.len(), 5);
         assert_eq!(c.throughput_rows.len(), 4, "n=1 excluded");
         assert!(
@@ -181,7 +163,8 @@ mod tests {
             &cfg,
             &ModelParams::tiny_default(),
             TrainSplit::Alternate,
-        );
+        )
+        .expect("tiny-machine sweep measures");
         // 4 multi-thread points; alternate split trains on 2; all 4
         // validated.
         assert_eq!(c.throughput_rows.len(), 4);

@@ -9,7 +9,7 @@
 use crate::measurement::Measurement;
 use crate::modeltime::predict_timed;
 use crate::report::{fmt_f64, Table};
-use crate::simrun::{try_sim_measure, try_sim_measure_pinned, try_sim_report, SimRunConfig};
+use crate::simrun::{sim_measure, sim_measure_pinned, sim_report, SimRunConfig};
 use bounce_atomics::Primitive;
 use bounce_core::fairness::{predict_jain, ArbitrationKind};
 use bounce_core::{BouncingModel, ModelParams, Scenario};
@@ -64,27 +64,27 @@ impl std::error::Error for ExpError {
 /// Result of one experiment: its table, or a contextualised failure.
 pub type ExpResult = Result<Table, ExpError>;
 
-/// [`try_sim_measure`] with the failing point's config attached.
+/// [`sim_measure`] with the failing point's config attached.
 pub(crate) fn measure(
     topo: &MachineTopology,
     w: &Workload,
     n: usize,
     cfg: &SimRunConfig,
 ) -> Result<Measurement, ExpError> {
-    try_sim_measure(topo, w, n, cfg).map_err(|e| ExpError::Sim {
+    sim_measure(topo, w, n, cfg).map_err(|e| ExpError::Sim {
         context: format!("{} n={} on {}", w.label(), n, topo.name),
         source: Box::new(e),
     })
 }
 
-/// [`try_sim_measure_pinned`] with the failing point's config attached.
+/// [`sim_measure_pinned`] with the failing point's config attached.
 fn measure_pinned(
     topo: &MachineTopology,
     w: &Workload,
     hw: &[HwThreadId],
     cfg: &SimRunConfig,
 ) -> Result<Measurement, ExpError> {
-    try_sim_measure_pinned(topo, w, hw, cfg).map_err(|e| ExpError::Sim {
+    sim_measure_pinned(topo, w, hw, cfg).map_err(|e| ExpError::Sim {
         context: format!("{} n={} (pinned) on {}", w.label(), hw.len(), topo.name),
         source: Box::new(e),
     })
@@ -523,7 +523,7 @@ pub fn fig6(ctx: ExpCtx, machine: Machine) -> ExpResult {
 /// sweep points ([`crate::campaign`]), predict every point, and report
 /// per-point error and MAPE for *both* throughput and mean latency.
 pub fn fig7(ctx: ExpCtx, machine: Machine) -> ExpResult {
-    use crate::campaign::{try_fit_and_validate, TrainSplit};
+    use crate::campaign::{fit_and_validate, TrainSplit};
     let topo = machine.topo();
     let cfg = ctx.run_cfg(machine);
     let ns = machine.sweep_ns(ctx.quick);
@@ -532,7 +532,7 @@ pub fn fig7(ctx: ExpCtx, machine: Machine) -> ExpResult {
     } else {
         TrainSplit::All
     };
-    let campaign = try_fit_and_validate(
+    let campaign = fit_and_validate(
         &topo,
         Primitive::Faa,
         &ns,
@@ -1153,7 +1153,7 @@ pub fn latency_hist(ctx: ExpCtx, machine: Machine) -> ExpResult {
         }
         // The full report, not a `Measurement`: it holds the histogram.
         let hw = Placement::Scattered.assign(&topo, n);
-        let report = try_sim_report(&topo, &w, &hw, &cfg).map_err(|e| ExpError::Sim {
+        let report = sim_report(&topo, &w, &hw, &cfg).map_err(|e| ExpError::Sim {
             context: format!("{} n={n} on {}", w.label(), topo.name),
             source: Box::new(e),
         })?;
@@ -1384,7 +1384,7 @@ fn measure_or_storm(
     n: usize,
     cfg: &SimRunConfig,
 ) -> Result<Option<Measurement>, ExpError> {
-    match try_sim_measure(topo, w, n, cfg) {
+    match sim_measure(topo, w, n, cfg) {
         Ok(m) => Ok(Some(m)),
         Err(SimError::RetryStorm { .. }) => Ok(None),
         Err(e) => Err(ExpError::Sim {

@@ -42,7 +42,7 @@ pub mod validation;
 pub use experiments::{ExpError, ExpResult};
 pub use measurement::{Backend, Measurement};
 pub use modeltime::{predict_timed, ModelTime};
-pub use parallel::{jobs, par_map, par_run, par_run_result, set_jobs, PointPanic};
+pub use parallel::{jobs, par_map, par_run, set_jobs, PointPanic};
 pub use report::Table;
-pub use simrun::{sim_measure, sim_measure_seeds, try_sim_measure, SeededSummary, SimRunConfig};
+pub use simrun::{sim_measure, sim_measure_seeds, SeededSummary, SimRunConfig};
 pub use validation::{campaign_validation, ValidationEntry, ValidationReport};

@@ -1,10 +1,9 @@
 //! The unified result type both backends produce.
 
 use bounce_atomics::{LockShape, Primitive};
-use serde::{Deserialize, Serialize};
 
 /// Which backend produced a measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// The `bounce-sim` coherence simulator.
     Sim,
@@ -25,7 +24,7 @@ impl Backend {
 /// One workload execution, reduced to the metrics the paper reports:
 /// throughput, latency, fairness, energy (plus CAS success bookkeeping
 /// and the transfer counts only the simulator can see).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Measurement {
     /// Workload label (`Workload::label()`).
     pub workload: String,

@@ -13,7 +13,7 @@
 //! A panic in one point does not abort the sweep: each point runs under
 //! [`std::panic::catch_unwind`], the remaining points finish, and the
 //! caller gets a per-point [`Result`] identifying exactly which index
-//! failed and with what payload ([`par_run_result`]). The infallible
+//! failed and with what payload ([`par_run_result_jobs`]). The infallible
 //! [`par_run`] keeps the old contract — it resurfaces the first failed
 //! point's panic on the calling thread, after every other point has
 //! completed.
@@ -141,15 +141,6 @@ where
     tagged.into_iter().map(|(_, u)| u).collect()
 }
 
-/// [`par_run_result_jobs`] with the process-global job count.
-pub fn par_run_result<U, F>(n: usize, f: F) -> Vec<Result<U, PointPanic>>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    par_run_result_jobs(n, JOBS.load(Ordering::Relaxed), f)
-}
-
 /// Run `f(0..n)` with an explicit job count and return the results in
 /// index order, resurfacing the first point panic after all points ran.
 pub fn par_run_jobs<U, F>(n: usize, jobs: usize, f: F) -> Vec<U>
@@ -184,7 +175,7 @@ where
 ///
 /// # Panics
 /// If a point panics, the panic is re-raised here — but only after every
-/// other point has finished (see [`par_run_result`] for the isolating
+/// other point has finished (see [`par_run_result_jobs`] for the isolating
 /// form).
 pub fn par_run<U, F>(n: usize, f: F) -> Vec<U>
 where

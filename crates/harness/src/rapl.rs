@@ -17,8 +17,8 @@ pub struct Rapl {
 impl Rapl {
     /// Discover RAPL domains under the host's powercap root; `None`
     /// when the host exposes none that we can read. Callers degrade
-    /// gracefully: a `None` here means energy columns read "n/a" and
-    /// the run continues (see [`crate::sweeps::measurements_table`]).
+    /// gracefully: a `None` here means energy reads `null` and the run
+    /// continues (see [`crate::sweeps::measurements_json`]).
     pub fn discover() -> Option<Rapl> {
         Self::discover_at(Path::new("/sys/class/powercap"))
     }

@@ -40,11 +40,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Append a row of displayable values.
-    pub fn push_display<T: std::fmt::Display>(&mut self, row: &[T]) {
-        self.push(row.iter().map(|v| v.to_string()).collect());
-    }
-
     /// Tab-separated rendering (header line prefixed with `#`).
     pub fn to_tsv(&self) -> String {
         let mut out = String::new();
@@ -115,7 +110,7 @@ mod tests {
     fn tsv_and_markdown_shapes() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.push(vec!["1".into(), "2".into()]);
-        t.push_display(&[3, 4]);
+        t.push(vec!["3".into(), "4".into()]);
         let tsv = t.to_tsv();
         assert!(tsv.starts_with("# demo\n"));
         assert!(tsv.contains("a\tb"));

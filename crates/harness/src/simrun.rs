@@ -83,57 +83,28 @@ impl SimRunConfig {
 }
 
 /// Run `workload` with `n` threads on the simulated `topo` and reduce to
-/// a [`Measurement`].
-///
-/// # Panics
-/// Panics if the simulation trips the forward-progress watchdog; use
-/// [`try_sim_measure`] to get the structured [`SimError`] instead.
+/// a [`Measurement`]. An invalid config or a forward-progress watchdog
+/// trip comes back as a [`SimError`].
 pub fn sim_measure(
-    topo: &MachineTopology,
-    workload: &Workload,
-    n: usize,
-    cfg: &SimRunConfig,
-) -> Measurement {
-    try_sim_measure(topo, workload, n, cfg).unwrap_or_else(|e| panic!("simulation failed: {e}"))
-}
-
-/// Like [`sim_measure`] but surfacing watchdog diagnoses as a
-/// [`SimError`] instead of panicking.
-pub fn try_sim_measure(
     topo: &MachineTopology,
     workload: &Workload,
     n: usize,
     cfg: &SimRunConfig,
 ) -> Result<Measurement, SimError> {
     let hw = cfg.placement.assign(topo, n);
-    try_sim_measure_pinned(topo, workload, &hw, cfg)
+    sim_measure_pinned(topo, workload, &hw, cfg)
 }
 
-/// Like [`sim_measure`] but with an explicit hardware-thread assignment
-/// (used by the placement experiment).
-///
-/// # Panics
-/// Panics if the simulation trips the forward-progress watchdog; use
-/// [`try_sim_measure_pinned`] for the non-panicking form.
+/// [`sim_measure`] with an explicit hardware-thread assignment (used by
+/// the placement experiment).
 pub fn sim_measure_pinned(
-    topo: &MachineTopology,
-    workload: &Workload,
-    hw: &[HwThreadId],
-    cfg: &SimRunConfig,
-) -> Measurement {
-    try_sim_measure_pinned(topo, workload, hw, cfg)
-        .unwrap_or_else(|e| panic!("simulation failed: {e}"))
-}
-
-/// [`try_sim_measure`] with an explicit hardware-thread assignment.
-pub fn try_sim_measure_pinned(
     topo: &MachineTopology,
     workload: &Workload,
     hw: &[HwThreadId],
     cfg: &SimRunConfig,
 ) -> Result<Measurement, SimError> {
     let n = hw.len();
-    let report = try_sim_report(topo, workload, hw, cfg)?;
+    let report = sim_report(topo, workload, hw, cfg)?;
     Ok(Measurement {
         workload: workload.label(),
         machine: topo.name.clone(),
@@ -164,7 +135,7 @@ pub fn try_sim_measure_pinned(
 
 /// Run `workload` pinned to `hw` on the simulated `topo` and return the
 /// engine's full report.
-pub(crate) fn try_sim_report(
+pub(crate) fn sim_report(
     topo: &MachineTopology,
     workload: &Workload,
     hw: &[HwThreadId],
@@ -197,25 +168,12 @@ pub struct SeededSummary {
     pub mean_jain: f64,
 }
 
-/// Run `workload` once per seed and summarise throughput stability.
+/// Run `workload` once per seed and summarise throughput stability. The
+/// first failing seed's [`SimError`] is returned.
 ///
 /// # Panics
-/// Panics if any seeded run trips the forward-progress watchdog; use
-/// [`try_sim_measure_seeds`] for the non-panicking form.
+/// Panics if `seeds` is empty.
 pub fn sim_measure_seeds(
-    topo: &MachineTopology,
-    workload: &Workload,
-    n: usize,
-    cfg: &SimRunConfig,
-    seeds: &[u64],
-) -> SeededSummary {
-    try_sim_measure_seeds(topo, workload, n, cfg, seeds)
-        .unwrap_or_else(|e| panic!("simulation failed: {e}"))
-}
-
-/// Like [`sim_measure_seeds`] but surfacing the first failing seed's
-/// [`SimError`] instead of panicking mid-sweep.
-pub fn try_sim_measure_seeds(
     topo: &MachineTopology,
     workload: &Workload,
     n: usize,
@@ -226,7 +184,7 @@ pub fn try_sim_measure_seeds(
     let runs: Vec<Measurement> = crate::parallel::par_map(seeds, |&seed| {
         let mut c = cfg.clone();
         c.params.seed = seed;
-        try_sim_measure(topo, workload, n, &c)
+        sim_measure(topo, workload, n, &c)
     })
     .into_iter()
     .collect::<Result<_, _>>()?;
@@ -257,7 +215,8 @@ mod tests {
             },
             4,
             &cfg,
-        );
+        )
+        .expect("healthy config measures");
         assert_eq!(m.n, 4);
         assert_eq!(m.backend, Backend::Sim);
         assert!(m.throughput_ops_per_sec > 0.0);
@@ -276,8 +235,8 @@ mod tests {
             prim: Primitive::Faa,
             work: 0,
         };
-        let m1 = sim_measure(&topo, &w, 1, &cfg);
-        let m4 = sim_measure(&topo, &w, 4, &cfg);
+        let m1 = sim_measure(&topo, &w, 1, &cfg).expect("n=1 measures");
+        let m4 = sim_measure(&topo, &w, 4, &cfg).expect("n=4 measures");
         assert!(m4.throughput_ops_per_sec > 3.0 * m1.throughput_ops_per_sec);
         assert_eq!(m4.total_transfers(), Some(0));
     }
@@ -294,7 +253,8 @@ mod tests {
             },
             4,
             &cfg,
-        );
+        )
+        .expect("CAS loop measures");
         assert!(m.failure_rate > 0.0, "contended CAS loop must fail");
         assert!(m.goodput_ops_per_sec < m.throughput_ops_per_sec);
     }
@@ -312,7 +272,8 @@ mod tests {
             4,
             &cfg,
             &[1, 2, 3, 4, 5],
-        );
+        )
+        .expect("every seed measures");
         assert_eq!(s.runs.len(), 5);
         assert!(s.mean_throughput > 0.0);
         // Random winner selection barely moves total throughput.
@@ -333,26 +294,10 @@ mod tests {
             },
             4,
             &cfg,
-        );
+        )
+        .expect("adaptive run measures");
         assert!(m.throughput_ops_per_sec > 0.0);
         assert!(m.mean_latency_cycles > 0.0);
-    }
-
-    #[test]
-    fn try_seeded_runs_return_ok() {
-        let topo = presets::tiny_test_machine();
-        let cfg = SimRunConfig::for_machine(&topo).quick();
-        let s = try_sim_measure_seeds(
-            &topo,
-            &Workload::HighContention {
-                prim: Primitive::Faa,
-            },
-            2,
-            &cfg,
-            &[1, 2],
-        )
-        .expect("healthy config must not error");
-        assert_eq!(s.runs.len(), 2);
     }
 
     #[test]
@@ -376,7 +321,7 @@ mod tests {
         let topo = presets::tiny_test_machine();
         let mut cfg = SimRunConfig::for_machine(&topo).quick();
         cfg.params.fabric.nack_per_mille = 5000;
-        let err = try_sim_measure(
+        let err = sim_measure(
             &topo,
             &Workload::HighContention {
                 prim: Primitive::Faa,
@@ -403,7 +348,8 @@ mod tests {
             },
             4,
             &cfg,
-        );
+        )
+        .expect("NACK retries complete under the patient policy");
         assert!(m.throughput_ops_per_sec > 0.0);
         assert!(m.p99_latency_cycles >= m.p50_latency_cycles);
     }
@@ -420,7 +366,8 @@ mod tests {
             },
             &hw,
             &cfg,
-        );
+        )
+        .expect("pinned run measures");
         // Scattered over two sockets: cross-socket transfers must appear.
         let t = m.transfers_by_domain.unwrap();
         assert!(t[4] > 0, "cross-socket transfers expected: {t:?}");

@@ -11,7 +11,7 @@
 
 use crate::experiments::{measure, ExpCtx, ExpError, Machine};
 use crate::measurement::Measurement;
-use crate::modeltime::{self, predict_timed};
+use crate::modeltime::predict_timed;
 use bounce_atomics::Primitive;
 use bounce_core::validate::{mape, max_ape, validated_rows, ValidationMetric, ValidationRow};
 use bounce_core::{Prediction, Scenario};
@@ -46,17 +46,19 @@ pub struct ValidationReport {
     /// One entry per (experiment, machine, metric).
     pub entries: Vec<ValidationEntry>,
     /// Total simulator time, seconds (summed over points, so parallel
-    /// runs report more than wall-clock).
+    /// runs report more than wall-clock). Host time: not in
+    /// [`ValidationReport::to_json`].
     pub sim_seconds: f64,
-    /// Total model-evaluation time, seconds.
+    /// Model-evaluation time of this campaign's predictions, seconds.
+    /// Host time: not in [`ValidationReport::to_json`].
     pub model_seconds: f64,
-    /// Number of model predictions evaluated.
+    /// Number of model predictions this campaign evaluated.
     pub model_calls: u64,
 }
 
 impl ValidationReport {
-    /// Deterministic JSON rendering (modulo the timing fields — the CI
-    /// gate compares only the per-experiment MAPEs).
+    /// Deterministic JSON rendering: the same sweep gives the same
+    /// bytes, so the host-time fields stay out of it.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
@@ -79,11 +81,6 @@ impl ValidationReport {
             ));
         }
         s.push_str("  ],\n");
-        s.push_str(&format!("  \"sim_seconds\": {:.3},\n", self.sim_seconds));
-        s.push_str(&format!(
-            "  \"model_seconds\": {:.6},\n",
-            self.model_seconds
-        ));
         s.push_str(&format!("  \"model_calls\": {}\n", self.model_calls));
         s.push_str("}\n");
         s
@@ -305,11 +302,14 @@ fn measured_value(m: &Measurement, metric: &ValidationMetric, w: &Workload) -> f
 /// machines, reducing each probe to a [`ValidationEntry`].
 ///
 /// Sweep points shared between probes (e.g. the FAA HC sweep, validated
-/// for both throughput and latency) are simulated once.
+/// for both throughput and latency) are simulated once. The report
+/// counts and times only its own predictions, so campaigns and tests
+/// running beside it in the process do not move its `model_calls`.
 pub fn campaign_validation(ctx: ExpCtx) -> Result<ValidationReport, ExpError> {
-    let model_before = modeltime::snapshot();
     let mut entries = Vec::new();
     let mut sim_seconds = 0.0;
+    let mut model_seconds = 0.0;
+    let mut model_calls = 0;
     for machine in Machine::ALL {
         let topo = machine.topo();
         let model = machine.model();
@@ -346,7 +346,10 @@ pub fn campaign_validation(ctx: ExpCtx) -> Result<ValidationReport, ExpError> {
                     let s = w
                         .scenario(order.threads_of(*n))
                         .expect("validated workloads map to scenarios");
+                    let t0 = Instant::now();
                     let pred = predict_timed(&model, &s);
+                    model_seconds += t0.elapsed().as_secs_f64();
+                    model_calls += 1;
                     (s, pred, measured_value(m, &p.metric, w))
                 })
                 .collect();
@@ -361,13 +364,12 @@ pub fn campaign_validation(ctx: ExpCtx) -> Result<ValidationReport, ExpError> {
             });
         }
     }
-    let model_after = modeltime::snapshot();
     Ok(ValidationReport {
         quick: ctx.quick,
         entries,
         sim_seconds,
-        model_seconds: model_after.seconds - model_before.seconds,
-        model_calls: model_after.calls - model_before.calls,
+        model_seconds,
+        model_calls,
     })
 }
 
@@ -405,5 +407,8 @@ mod tests {
         assert!(json.contains("\"experiment\": \"hc-faa\""));
         assert!(json.contains("\"metric\": \"handoffs-mcs\""));
         assert!(json.contains("\"mode\": \"quick\""));
+        assert!(json.contains("\"model_calls\": "));
+        // Host times would make every run rewrite the committed file.
+        assert!(!json.contains("_seconds\""), "host time in {json}");
     }
 }

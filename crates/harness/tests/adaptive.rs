@@ -53,8 +53,8 @@ proptest! {
         let n = [1usize, 2, 4][raw_n as usize];
         let fixed_cfg = SimRunConfig::for_machine(&topo).quick();
         let adaptive_cfg = fixed_cfg.clone().with_run_length(RunLength::adaptive());
-        let fixed = sim_measure(&topo, &w, n, &fixed_cfg);
-        let adaptive = sim_measure(&topo, &w, n, &adaptive_cfg);
+        let fixed = sim_measure(&topo, &w, n, &fixed_cfg).expect("fixed run measures");
+        let adaptive = sim_measure(&topo, &w, n, &adaptive_cfg).expect("adaptive run measures");
         let rel_ci = match RunLength::adaptive() {
             RunLength::Adaptive { rel_ci, .. } => rel_ci,
             RunLength::Fixed { .. } => unreachable!(),
@@ -80,9 +80,9 @@ fn adaptive_is_deterministic_and_jobs_invariant() {
     let cfg = SimRunConfig::for_machine(&topo)
         .quick()
         .with_run_length(RunLength::adaptive());
-    let a = sim_measure(&topo, &w, 4, &cfg);
+    let a = sim_measure(&topo, &w, 4, &cfg).expect("default jobs measure");
     set_jobs(4);
-    let b = sim_measure(&topo, &w, 4, &cfg);
+    let b = sim_measure(&topo, &w, 4, &cfg).expect("4 jobs measure");
     set_jobs(0);
     assert_eq!(
         a.throughput_ops_per_sec.to_bits(),
@@ -107,8 +107,8 @@ fn adaptive_terminates_early_on_steady_workload() {
     };
     let fixed_cfg = SimRunConfig::for_machine(&topo).quick();
     let adaptive_cfg = fixed_cfg.clone().with_run_length(RunLength::adaptive());
-    let fixed = sim_measure(&topo, &w, 4, &fixed_cfg);
-    let adaptive = sim_measure(&topo, &w, 4, &adaptive_cfg);
+    let fixed = sim_measure(&topo, &w, 4, &fixed_cfg).expect("fixed run measures");
+    let adaptive = sim_measure(&topo, &w, 4, &adaptive_cfg).expect("adaptive run measures");
     // Early termination shows up as fewer total retired ops at a
     // near-identical rate.
     let fixed_ops: u64 = fixed.per_thread_ops.iter().sum();

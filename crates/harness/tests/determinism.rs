@@ -104,9 +104,11 @@ fn parallel_sweeps_match_serial_field_for_field() {
     let mut rcfg = cfg.clone();
     rcfg.params.arbitration = bounce_sim::ArbitrationPolicy::Random;
     set_jobs(1);
-    let serial = sim_measure_seeds(&topo, &hc, 4, &rcfg, &[1, 2, 3, 4, 5, 6]);
+    let serial =
+        sim_measure_seeds(&topo, &hc, 4, &rcfg, &[1, 2, 3, 4, 5, 6]).expect("serial seeds measure");
     set_jobs(4);
-    let parallel = sim_measure_seeds(&topo, &hc, 4, &rcfg, &[1, 2, 3, 4, 5, 6]);
+    let parallel = sim_measure_seeds(&topo, &hc, 4, &rcfg, &[1, 2, 3, 4, 5, 6])
+        .expect("parallel seeds measure");
     assert_eq!(
         serial.mean_throughput.to_bits(),
         parallel.mean_throughput.to_bits(),
@@ -131,7 +133,8 @@ fn parallel_sweeps_match_serial_field_for_field() {
         &ccfg,
         &bounce_core::ModelParams::tiny_default(),
         TrainSplit::All,
-    );
+    )
+    .expect("serial campaign measures");
     set_jobs(4);
     let parallel = fit_and_validate(
         &topo,
@@ -140,7 +143,8 @@ fn parallel_sweeps_match_serial_field_for_field() {
         &ccfg,
         &bounce_core::ModelParams::tiny_default(),
         TrainSplit::All,
-    );
+    )
+    .expect("parallel campaign measures");
     for (a, b) in serial.measurements.iter().zip(&parallel.measurements) {
         assert_meas_eq(a, b, &format!("campaign n={}", a.n));
     }

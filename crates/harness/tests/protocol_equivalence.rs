@@ -114,7 +114,7 @@ proptest! {
         let run = |kind: CoherenceKind| {
             let mut cfg = SimRunConfig::for_machine(&topo).quick().with_protocol(kind);
             cfg.duration_cycles = 60_000;
-            sim_measure(&topo, &w, n, &cfg)
+            sim_measure(&topo, &w, n, &cfg).expect("write-only workload measures")
         };
         let mesif = run(CoherenceKind::Mesif);
         let mesi = run(CoherenceKind::Mesi);

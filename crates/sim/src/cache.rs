@@ -1,14 +1,12 @@
 //! Cache-line addressing, MESI/MESIF/MOESI line states, and a
 //! set-associative L1 model with LRU replacement.
 
-use serde::{Deserialize, Serialize};
-
 /// A cache-line address (the address with the low 6 bits stripped).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LineId(pub u64);
 
 /// A word address: a line plus a 64-bit-word index within it (0..8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WordAddr {
     /// The cache line.
     pub line: LineId,
@@ -27,7 +25,7 @@ impl WordAddr {
 }
 
 /// MESI(F)/MOESI line state in a private cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LineState {
     /// Modified: sole copy, dirty.
     Modified,

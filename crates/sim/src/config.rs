@@ -5,7 +5,6 @@ use crate::cache;
 use crate::faults::{FabricFaultConfig, FaultConfig};
 use bounce_atomics::Primitive;
 use bounce_topo::{CoherenceKind, MachineTopology};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A typed configuration-validation failure naming the offending field,
@@ -47,7 +46,7 @@ impl std::error::Error for ConfigError {}
 ///
 /// Irrelevant (never consulted) unless
 /// [`SimParams::fabric`](crate::SimParams::fabric) injects NACKs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retry budget per transaction; exhausting it is a retry storm.
     pub max_retries: u32,
@@ -158,7 +157,7 @@ impl RetryPolicy {
 /// close to the current owner snoops the line faster) — the paper's
 /// fairness experiment probes exactly this. The policies below bracket
 /// the behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArbitrationPolicy {
     /// Strict first-come-first-served per line (ideal fair hardware).
     Fifo,
@@ -201,7 +200,7 @@ impl ArbitrationPolicy {
 /// `rel_ci` (see [`bounce_core::converge`]). The decision is a pure
 /// function of the (deterministic) event stream, so adaptive runs are
 /// just as reproducible as fixed ones — they simply end sooner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RunLength {
     /// Simulate a fixed cycle budget. `cycles = 0` (the default) means
     /// "use [`SimConfig::duration_cycles`]"; non-zero overrides it.
@@ -304,7 +303,7 @@ impl RunLength {
 }
 
 /// How a line's home directory slice is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HomePolicy {
     /// Hash the line address over all slices (the hardware default).
     Hash,
@@ -320,7 +319,7 @@ pub enum HomePolicy {
 /// the *shape* of the energy curves (linear growth of J/op with thread
 /// count under high contention) comes from the static term, which
 /// dominates — as the paper observes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnergyParams {
     /// Static + active power burned by one core while its thread runs, W.
     pub static_w_per_core: f64,
@@ -368,7 +367,7 @@ impl EnergyParams {
 }
 
 /// Protocol latency parameters, in core cycles.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimParams {
     /// L1 hit latency.
     pub l1_hit: u32,
@@ -570,7 +569,7 @@ impl SimParams {
 /// legitimate runs (including heavily backed-off spin loops) never trip
 /// them. Setting `stall_epochs` to 0 disables the livelock check
 /// entirely; the event budget cannot be disabled, only raised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Watchdog {
     /// Maximum events a run may process. 0 = auto
     /// (`threads × duration × 8 + 1M`).

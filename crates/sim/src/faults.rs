@@ -58,10 +58,9 @@ use crate::config::ConfigError;
 use crate::directory::splitmix64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Fault-injection parameters. The default injects no faults.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Mean cycles between the starts of one thread's preemption
     /// windows. 0 disables preemption.
@@ -144,7 +143,7 @@ impl FaultConfig {
 
 /// Coherence-fabric fault parameters. The all-zero default injects
 /// nothing (see the [module docs](self) for the model).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FabricFaultConfig {
     /// Per-mille probability that a directory bank NACKs an arriving
     /// request, drawn on the bank's dedicated stream. 0 disables

@@ -16,7 +16,6 @@
 
 use crate::cache::WordAddr;
 use bounce_atomics::Primitive;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -86,7 +85,7 @@ impl fmt::Display for ProgramError {
 impl std::error::Error for ProgramError {}
 
 /// A value source for op operands and spin predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Operand {
     /// A literal.
     Const(u64),
@@ -97,7 +96,7 @@ pub enum Operand {
 }
 
 /// Predicate for event-driven spinning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpinPred {
     /// Keep spinning while bit 0 of the word is set (TTAS wait).
     WhileBitSet,
@@ -109,7 +108,7 @@ pub enum SpinPred {
 }
 
 /// One program step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
     /// Execute an atomic primitive on a word. `operand` is the value
     /// argument (store/swap/FAA delta/CAS new value); `expected` is the
@@ -185,7 +184,7 @@ pub enum Step {
 /// The steps are immutable and shared: threads that run the same body
 /// hold clones of one `Program`, and a clone only bumps a reference
 /// count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Program {
     steps: Arc<[Step]>,
 }

@@ -2,7 +2,6 @@
 //! transfer counts by communication domain, and the energy breakdown.
 
 use bounce_topo::Domain;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -85,7 +84,7 @@ impl fmt::Debug for Buckets {
 
 /// A log2-bucketed latency histogram (cycles). Bucket `i` holds samples
 /// with `floor(log2(latency)) == i`; bucket 0 also holds latency 0.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyStats {
     /// Number of samples.
     pub count: u64,
@@ -161,7 +160,7 @@ impl LatencyStats {
 }
 
 /// Per-thread outcome counters (measurement window only).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ThreadReport {
     /// Hardware thread this simulated thread was pinned to.
     pub hw_thread: usize,
@@ -196,7 +195,7 @@ pub struct ThreadReport {
 }
 
 /// Energy accounting, standing in for RAPL.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EnergyBreakdown {
     /// Static/active power × time for all running cores, joules.
     pub static_j: f64,
@@ -237,7 +236,7 @@ impl EnergyBreakdown {
 /// actually ended, and the convergence diagnostics behind an early
 /// stop. Fixed-length runs report `ended_at_cycles == budget_cycles`,
 /// `early_stop == false` and zeroed batch statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunLengthSummary {
     /// The run's cycle budget (what a fixed-length run would simulate).
     pub budget_cycles: u64,
@@ -279,7 +278,7 @@ impl RunLengthSummary {
 }
 
 /// The full result of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Total simulated cycles.
     pub duration_cycles: u64,

@@ -8,11 +8,10 @@
 //! transfers traverse QPI.
 
 use crate::machine::{HwThreadId, Interconnect, MachineTopology};
-use serde::{Deserialize, Serialize};
 
 /// The coherence domain that a line transfer between two hardware threads
 /// crosses. Ordered from cheapest to most expensive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Domain {
     /// Same hardware thread — no transfer at all (line stays in L1).
     SameThread,

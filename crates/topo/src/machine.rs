@@ -1,31 +1,29 @@
 //! Core topology data model: hardware threads, cores, tiles, sockets,
 //! caches and the interconnect geometry.
 
-use serde::{Deserialize, Serialize};
-
 use crate::protocol::CoherenceKind;
 
 /// Index of a hardware thread (SMT context), global across the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HwThreadId(pub usize);
 
 /// Index of a physical core, global across the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub usize);
 
 /// Index of a tile (a group of cores sharing a mid-level cache), global.
 ///
 /// On machines without a tile concept (e.g. Xeon E5) every core is its own
 /// tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TileId(pub usize);
 
 /// Index of a socket (NUMA package), global.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SocketId(pub usize);
 
 /// Position of a tile on a 2D mesh interconnect, in (column, row) units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MeshPos {
     /// Column (x) coordinate.
     pub col: u16,
@@ -44,7 +42,7 @@ impl MeshPos {
 }
 
 /// A hardware thread (SMT context).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HwThread {
     /// Global id of this hardware thread.
     pub id: HwThreadId,
@@ -55,7 +53,7 @@ pub struct HwThread {
 }
 
 /// A physical core.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Core {
     /// Global id of this core.
     pub id: CoreId,
@@ -69,7 +67,7 @@ pub struct Core {
 
 /// A tile: a set of cores sharing a mid-level (usually L2) cache and one
 /// interconnect stop.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tile {
     /// Global id of this tile.
     pub id: TileId,
@@ -84,7 +82,7 @@ pub struct Tile {
 }
 
 /// A socket / package.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Socket {
     /// Global id of this socket.
     pub id: SocketId,
@@ -93,7 +91,7 @@ pub struct Socket {
 }
 
 /// Which set of hardware threads share one instance of a cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheSharing {
     /// One instance per core (shared only by SMT siblings).
     PerCore,
@@ -104,7 +102,7 @@ pub enum CacheSharing {
 }
 
 /// One level of the cache hierarchy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CacheLevel {
     /// Human-readable name, e.g. `"L1d"`.
     pub name: String,
@@ -128,7 +126,7 @@ impl CacheLevel {
 }
 
 /// The on-chip / cross-chip interconnect geometry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Interconnect {
     /// A (bidirectional) ring per socket with a point-to-point link between
     /// sockets, as on Xeon E5 (ring + QPI).
@@ -163,7 +161,7 @@ pub enum Interconnect {
 /// * ids are dense: `threads[i].id == HwThreadId(i)`, same for cores,
 ///   tiles, sockets;
 /// * every containment edge is consistent in both directions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MachineTopology {
     /// Human-readable machine name, e.g. `"Intel Xeon E5-2695 v4"`.
     pub name: String,

@@ -6,7 +6,6 @@
 //! policies reproduce the standard ones.
 
 use crate::machine::{HwThreadId, MachineTopology};
-use serde::{Deserialize, Serialize};
 
 /// A policy mapping "run N threads" onto concrete hardware threads.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let scattered = Placement::Scattered.assign(&topo, 2);
 /// assert_ne!(topo.socket_of(scattered[0]), topo.socket_of(scattered[1]));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Fill physical cores of socket 0 first (one thread per core), then
     /// socket 1, …, and only then start using second/third/fourth SMT

@@ -10,10 +10,8 @@
 //! `CoherenceProtocol` implementations (in `bounce-sim`) are selected by
 //! this tag.
 
-use serde::{Deserialize, Serialize};
-
 /// Which coherence-protocol family to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CoherenceKind {
     /// MESI + Forward: one clean sharer is designated to answer read
     /// misses cache-to-cache (Intel servers; today's default).

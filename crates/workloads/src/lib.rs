@@ -14,7 +14,7 @@
 //!   ([`Workload::MixedReadWrite`]) and lock critical sections
 //!   ([`Workload::LockHandoff`]).
 //!
-//! A [`Workload`] is pure data (serde-serialisable). It compiles itself
+//! A [`Workload`] is pure data. It compiles itself
 //! into per-thread simulator [programs](bounce_sim::program::Program)
 //! via [`Workload::sim_programs`]; the native measurement backend in
 //! `bounce-harness` interprets the same spec against real atomics.

@@ -6,7 +6,6 @@ use bounce_atomics::Primitive;
 use bounce_core::Scenario;
 use bounce_sim::program::{builders, Operand, Program, Step};
 use bounce_topo::HwThreadId;
-use serde::{Deserialize, Serialize};
 
 // `LockShape` (the lock algorithm used by [`Workload::LockHandoff`]) now
 // lives in `bounce_atomics` next to the concrete lock implementations, so
@@ -26,7 +25,7 @@ pub use bounce_atomics::LockShape;
 /// let programs = w.sim_programs(4);
 /// assert_eq!(programs.len(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Workload {
     /// All threads apply `prim` to the one shared line, back to back.
     HighContention {

@@ -12,7 +12,7 @@ use bounce::model::ModelParams;
 use bounce::topo::TopologyBuilder;
 use bounce_atomics::Primitive;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A hypothetical 4-socket, chiplet-style box: 4 sockets × 4 tiles ×
     // 2 cores × 2 SMT = 64 hardware threads on a per-socket ring.
     let topo = TopologyBuilder::new("hypothetical 4S chiplet box")
@@ -42,7 +42,7 @@ fn main() {
         &default_cfg(&topo, 1_500_000),
         &initial,
         TrainSplit::Alternate,
-    );
+    )?;
     let t = &campaign.fit.params.transfer;
     println!(
         "fitted: t_smt={:.0} t_tile={:.0} t_socket={:.0} t_cross={:.0} cycles",
@@ -68,4 +68,5 @@ fn main() {
     }
     println!("\nthe same four-scalar model, fitted in seconds, for a machine");
     println!("that exists nowhere but in the builder call above.");
+    Ok(())
 }

@@ -15,7 +15,7 @@ use bounce::topo::Placement;
 use bounce::workloads::Workload;
 use bounce_atomics::Primitive;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     for machine in Machine::ALL {
         let topo = machine.topo();
         let model = Model::new(topo.clone(), machine.model_params());
@@ -40,7 +40,7 @@ fn main() {
                 },
                 n,
                 &cfg,
-            );
+            )?;
             let lc = sim_measure(
                 &topo,
                 &Workload::LowContention {
@@ -49,7 +49,7 @@ fn main() {
                 },
                 n,
                 &cfg,
-            );
+            )?;
             let pred = model.predict_hc(&order[..n], Primitive::Faa);
             println!(
                 "{:>4} {:>14.1} {:>14.1} {:>14.1}",
@@ -64,4 +64,5 @@ fn main() {
     println!("reading the table: under HC every waiting core burns static power");
     println!("while the line serialises — energy/op grows ~linearly with N.");
     println!("Under LC the work parallelises, so energy/op stays flat.");
+    Ok(())
 }

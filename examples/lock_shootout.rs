@@ -16,7 +16,7 @@ use bounce::workloads::{LockShape, Workload};
 use bounce_atomics::LockKind;
 use std::time::Duration;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let topo = presets::xeon_e5_2695_v4();
     let mut cfg = SimRunConfig::for_machine(&topo);
     cfg.params.arbitration = ArbitrationPolicy::Fifo;
@@ -43,7 +43,7 @@ fn main() {
                 },
                 n,
                 &cfg,
-            );
+            )?;
             row.push(m.goodput_ops_per_sec / 1e6);
             if shape == LockShape::Ticket {
                 jain = m.jain;
@@ -68,4 +68,5 @@ fn main() {
     println!("\nreading the simulated table: the ticket lock scales far better than");
     println!("the TAS family once spinners crowd the lock line, and stays");
     println!("perfectly fair (Jain = 1.0) by construction.");
+    Ok(())
 }

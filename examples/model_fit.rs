@@ -10,12 +10,12 @@ use bounce::harness::simrun::{sim_measure, SimRunConfig};
 use bounce::model::fit::{fit_transfer_costs, ScenarioObservation};
 use bounce::model::validate::{mape, validated_rows, ValidationMetric};
 use bounce::model::{Model, ModelParams, Predictor, Scenario};
-use bounce::sim::ArbitrationPolicy;
+use bounce::sim::{ArbitrationPolicy, SimError};
 use bounce::topo::{presets, Placement, PlacementOrder};
 use bounce::workloads::Workload;
 use bounce_atomics::Primitive;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let topo = presets::xeon_phi_7290();
     let mut cfg = SimRunConfig::for_machine(&topo);
     cfg.params.arbitration = ArbitrationPolicy::Fifo;
@@ -28,16 +28,16 @@ fn main() {
     //    the workload itself derives — the same spec the simulator ran.
     println!("measuring HC FAA sweep on simulated {} ...", topo.name);
     let ns = [2usize, 4, 8, 16, 32, 64, 144, 288];
-    let measured: Vec<(Scenario, f64)> = ns
+    let measured = ns
         .iter()
         .map(|&n| {
-            let m = sim_measure(&topo, &w, n, &cfg);
+            let m = sim_measure(&topo, &w, n, &cfg)?;
             let scenario = w
                 .scenario(order.threads_of(n))
                 .expect("high contention maps to a scenario");
-            (scenario, m.throughput_ops_per_sec)
+            Ok((scenario, m.throughput_ops_per_sec))
         })
-        .collect();
+        .collect::<Result<Vec<(Scenario, f64)>, SimError>>()?;
 
     // 2. Fit the four transfer costs on the even points.
     let train: Vec<ScenarioObservation> = measured
@@ -81,4 +81,5 @@ fn main() {
         );
     }
     println!("\nMAPE over the sweep: {:.2}%", mape(&rows));
+    Ok(())
 }

@@ -14,7 +14,7 @@ use bounce::topo::{presets, Placement};
 use bounce::workloads::Workload;
 use bounce_atomics::Primitive;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -42,7 +42,7 @@ fn main() {
             },
             &hw,
             &cfg,
-        );
+        )?;
         println!(
             "{:>10} {:>14.1} {:>12.3} {:>14.2} {:>14.2}",
             p.label(),
@@ -59,4 +59,5 @@ fn main() {
          cross-socket line transfers in the ownership rotation.",
         ranked[0].0.label()
     );
+    Ok(())
 }

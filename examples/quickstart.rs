@@ -13,7 +13,7 @@ use bounce::topo::{presets, Placement};
 use bounce::workloads::Workload;
 use bounce_atomics::Primitive;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. The machine: the paper's 2-socket Xeon E5 (simulated).
     let topo = presets::xeon_e5_2695_v4();
     println!("machine: {}\n", topo.name);
@@ -39,7 +39,7 @@ fn main() {
             },
             n,
             &cfg,
-        );
+        )?;
         let pred = model.predict_hc(&order[..n], Primitive::Faa);
         let err = (pred.throughput_ops_per_sec - meas.throughput_ops_per_sec).abs()
             / meas.throughput_ops_per_sec
@@ -56,4 +56,5 @@ fn main() {
     println!("\nthe cliff from n=1 to n=2 is the model's whole story:");
     println!("one thread hits in its L1 (cost c_p); two threads bounce the line");
     println!("(cost E[t] per op, an order of magnitude more).");
+    Ok(())
 }

@@ -38,7 +38,8 @@ fn fitted_model_predicts_hc_sweep() {
                 },
                 n,
                 &cfg,
-            );
+            )
+            .expect("simulation completes");
             (n, m.throughput_ops_per_sec)
         })
         .collect();
@@ -70,7 +71,9 @@ fn paper_shape_rankings_hold() {
     let topo = presets::xeon_e5_2695_v4();
     let cfg = fifo_cfg(&topo);
     let hc = |prim, n| {
-        sim_measure(&topo, &Workload::HighContention { prim }, n, &cfg).throughput_ops_per_sec
+        sim_measure(&topo, &Workload::HighContention { prim }, n, &cfg)
+            .expect("simulation completes")
+            .throughput_ops_per_sec
     };
     // (1) One thread beats many under HC.
     assert!(hc(Primitive::Faa, 1) > 1.2 * hc(Primitive::Faa, 8));
@@ -89,6 +92,7 @@ fn paper_shape_rankings_hold() {
             n,
             &cfg,
         )
+        .expect("simulation completes")
         .throughput_ops_per_sec
     };
     let r = lc(8) / lc(1);
@@ -114,7 +118,8 @@ fn model_placement_ranking_matches_sim() {
             },
             &hw,
             &cfg,
-        );
+        )
+        .expect("pinned simulation completes");
         let pred = model.predict_hc(&hw, Primitive::Faa);
         if meas.throughput_ops_per_sec > sim_best.1 {
             sim_best = (p, meas.throughput_ops_per_sec);
@@ -146,8 +151,8 @@ fn cas_waste_grows_with_contention() {
             window: 30,
             work: 0,
         };
-        let m2 = sim_measure(&topo, &w, 2, &cfg);
-        let m8 = sim_measure(&topo, &w, 8, &cfg);
+        let m2 = sim_measure(&topo, &w, 2, &cfg).expect("simulation completes");
+        let m8 = sim_measure(&topo, &w, 8, &cfg).expect("simulation completes");
         assert!(
             m8.failure_rate >= m2.failure_rate,
             "{}: failure rate should grow: {} vs {}",
@@ -193,7 +198,7 @@ fn native_and_sim_agree_on_single_thread_structure() {
     assert!(native.throughput_ops_per_sec > 0.0);
 
     let topo = presets::xeon_e5_2695_v4();
-    let sim = sim_measure(&topo, &w, 1, &fifo_cfg(&topo));
+    let sim = sim_measure(&topo, &w, 1, &fifo_cfg(&topo)).expect("simulation completes");
     assert_eq!(sim.failure_rate, 0.0);
     // Both see an uncontended RMW cost within the same order of
     // magnitude (tens of cycles -> tens of millions ops/s per GHz).
@@ -216,6 +221,7 @@ fn energy_shapes_hold() {
                 n,
                 &cfg,
             )
+            .expect("simulation completes")
             .energy_per_op_nj
             .unwrap()
         };
@@ -234,6 +240,7 @@ fn energy_shapes_hold() {
                 n,
                 &cfg,
             )
+            .expect("simulation completes")
             .energy_per_op_nj
             .unwrap()
         };

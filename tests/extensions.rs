@@ -31,7 +31,8 @@ fn queue_locks_beat_tas_at_scale() {
             },
             n,
             &cfg,
-        );
+        )
+        .expect("simulation completes");
         match shape {
             LockShape::Ticket => m.goodput_ops_per_sec / 2.0,
             LockShape::Mcs => {
@@ -78,6 +79,7 @@ fn striping_multiplies_throughput_and_model_tracks() {
             n,
             &cfg,
         )
+        .expect("simulation completes")
         .throughput_ops_per_sec
     };
     let x1 = measure(1);
@@ -103,7 +105,8 @@ fn false_sharing_collapse_and_padding_fix() {
         },
         n,
         &cfg,
-    );
+    )
+    .expect("simulation completes");
     let hc = sim_measure(
         &topo,
         &Workload::HighContention {
@@ -111,7 +114,8 @@ fn false_sharing_collapse_and_padding_fix() {
         },
         n,
         &cfg,
-    );
+    )
+    .expect("simulation completes");
     let padded = sim_measure(
         &topo,
         &Workload::LowContention {
@@ -120,7 +124,8 @@ fn false_sharing_collapse_and_padding_fix() {
         },
         n,
         &cfg,
-    );
+    )
+    .expect("simulation completes");
     // False sharing ≈ true sharing (within 20%), padding >> both.
     let r = fs.throughput_ops_per_sec / hc.throughput_ops_per_sec;
     assert!((0.8..1.25).contains(&r), "fs/hc ratio {r:.2}");

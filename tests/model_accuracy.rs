@@ -31,7 +31,8 @@ fn fairness_prediction_matches_sim_closely() {
             },
             &order[..n],
             &cfg(&topo, ArbitrationPolicy::NearestFirst),
-        );
+        )
+        .expect("pinned simulation completes");
         let pred = predict_jain(&topo, &order[..n], ArbitrationKind::NearestFirst);
         assert!(
             (meas.jain - pred).abs() < 0.03,
@@ -60,7 +61,8 @@ fn tas_lock_handoff_formula_tracks_sim() {
             },
             n,
             &c,
-        );
+        )
+        .expect("simulation completes");
         let threads = Placement::Packed.assign(&topo, n);
         let pred_tas = model
             .predict_lock_handoffs(&threads, 100.0)
@@ -98,7 +100,8 @@ fn zipf_throughput_declines_and_bound_holds() {
             },
             n,
             &c,
-        );
+        )
+        .expect("simulation completes");
         let x = meas.throughput_ops_per_sec;
         assert!(x < last * 1.05, "θ={theta}: throughput must not rise");
         last = x;
@@ -137,7 +140,8 @@ fn striping_model_tracks_every_point() {
             },
             n,
             &c,
-        );
+        )
+        .expect("simulation completes");
         let pred = model
             .predict_multiline(&order, Primitive::Faa, lines)
             .throughput_ops_per_sec;
