@@ -14,14 +14,13 @@ lint:
 
 # The verification layer (see crates/verify): exhaustive model check
 # of every coherence protocol, workload-IR lint over every registered
-# workload, the determinism + shim/recorder-bypass lint, the schedcheck
-# interleaving model check of the real atomics (with its
-# ordering-mutation sweep), and the engine-vs-model conformance
-# (trace refinement) campaign.
+# workload, the schedcheck interleaving model check of the real atomics
+# (with its ordering-mutation sweep), and the engine-vs-model
+# conformance (trace refinement) campaign. The determinism +
+# shim/probe-bypass rules are clippy configuration: `just lint`.
 verify-static:
     cargo run --release -p bounce-verify --bin modelcheck
     cargo run --release -p bounce-bench --bin repro -- lint
-    cargo run --release -p bounce-verify --bin detlint
     cargo run --release -p bounce-verify --bin schedcheck -- --mutate
     cargo run --release -p bounce-bench --bin repro -- conform --quick
 

@@ -18,10 +18,12 @@
 //! and this crate's own API — is unchanged.
 //!
 //! This module is the **only** place in `bounce-atomics` allowed to
-//! construct `std::sync::atomic` types directly; the `detlint`
-//! `direct-atomic` rule enforces that every other file goes through
-//! the shim (a structure that bypassed it would silently escape the
-//! model checker).
+//! construct `std::sync::atomic` types directly; the crate's
+//! `clippy.toml` bans the `Atomic*::new` constructors everywhere else,
+//! so every other file goes through the shim (a structure that
+//! bypassed it would silently escape the model checker).
+
+#![allow(clippy::disallowed_methods, reason = "the shim's std substrate")]
 
 use std::fmt;
 use std::marker::PhantomData;

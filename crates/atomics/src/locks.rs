@@ -610,7 +610,7 @@ mod tests {
 
     #[test]
     fn labels_unique() {
-        let labels: std::collections::HashSet<_> =
+        let labels: std::collections::BTreeSet<_> =
             LockKind::ALL.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), LockKind::ALL.len());
     }

@@ -330,7 +330,8 @@ mod tests {
     #[test]
     fn native_matches_value_semantics() {
         for p in Primitive::ALL {
-            let cell = AtomicU64::new(5); // detlint: allow(direct-atomic): native face tests real std atomics
+            #[allow(clippy::disallowed_methods, reason = "tests the native face")]
+            let cell = AtomicU64::new(5);
             let native = p.execute_native(&cell, 9, 5);
             let (expected_new, expected_out) = p.apply_value(5, 9, 5);
             assert_eq!(cell.load(Ordering::SeqCst), expected_new, "{p}: new value");
@@ -343,7 +344,8 @@ mod tests {
 
     #[test]
     fn native_cas_failure_observes_current() {
-        let cell = AtomicU64::new(42); // detlint: allow(direct-atomic): native face tests real std atomics
+        #[allow(clippy::disallowed_methods, reason = "tests the native face")]
+        let cell = AtomicU64::new(42);
         let o = Primitive::Cas.execute_native(&cell, 1, 0);
         assert!(!o.success);
         assert_eq!(o.prev, 42);
@@ -352,7 +354,8 @@ mod tests {
 
     #[test]
     fn native_faa_accumulates() {
-        let cell = AtomicU64::new(0); // detlint: allow(direct-atomic): native face tests real std atomics
+        #[allow(clippy::disallowed_methods, reason = "tests the native face")]
+        let cell = AtomicU64::new(0);
         for i in 0..10 {
             let o = Primitive::Faa.execute_native(&cell, 3, 0);
             assert_eq!(o.prev, i * 3);

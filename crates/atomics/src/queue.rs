@@ -163,7 +163,7 @@ unsafe impl<T: Send, C: CellModel> Sync for MsQueue<T, C> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::thread;
@@ -196,18 +196,19 @@ mod tests {
                 }
             }));
         }
-        let consumed = Arc::new(std::sync::Mutex::new(HashSet::new()));
+        let consumed = Arc::new(std::sync::Mutex::new(BTreeSet::new()));
         // Items taken by both consumers together. Each stops once every
         // item is taken: a per-consumer quota would strand the other
         // consumer whenever one takes more than its share. `Relaxed`:
         // the count publishes no data, the queue hands over the items.
-        let taken = Arc::new(AtomicU64::new(0)); // detlint: allow(direct-atomic): test harness count
+        #[allow(clippy::disallowed_methods, reason = "test harness count")]
+        let taken = Arc::new(AtomicU64::new(0));
         for _ in 0..2 {
             let q = Arc::clone(&q);
             let consumed = Arc::clone(&consumed);
             let taken = Arc::clone(&taken);
             handles.push(thread::spawn(move || {
-                let mut local = HashSet::new();
+                let mut local = BTreeSet::new();
                 while taken.load(Ordering::Relaxed) < producers * per {
                     match q.dequeue() {
                         Some((v, _)) => {
@@ -227,7 +228,7 @@ mod tests {
             h.join().unwrap();
         }
         // Drain any remainder on this thread.
-        let mut rest = HashSet::new();
+        let mut rest = BTreeSet::new();
         while let Some((v, _)) = q.dequeue() {
             rest.insert(v);
         }

@@ -127,7 +127,8 @@ mod tests {
         // The writer keeps the invariant data[1] == data[0] + 1; any
         // torn read would break it.
         let sl = Arc::new(SeqLock::new([0, 1]));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false)); // detlint: allow(direct-atomic)
+        #[allow(clippy::disallowed_methods, reason = "test harness stop flag")]
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let mut handles = Vec::new();
         for _ in 0..3 {
             let sl = Arc::clone(&sl);

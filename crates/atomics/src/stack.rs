@@ -124,7 +124,7 @@ unsafe impl<T: Send, C: CellModel> Sync for TreiberStack<T, C> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
     use std::sync::Arc;
     use std::thread;
 
@@ -159,7 +159,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         while let Some((v, _)) = s.pop() {
             assert!(seen.insert(v), "duplicate {v}");
         }

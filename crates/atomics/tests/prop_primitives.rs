@@ -2,6 +2,8 @@
 //! semantics and native execution) must agree on arbitrary inputs, and
 //! the algebraic laws of each primitive must hold.
 
+#![allow(clippy::disallowed_methods, reason = "tests the native face")]
+
 use bounce_atomics::Primitive;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -91,7 +91,7 @@ proptest! {
         for h in handles {
             h.join().unwrap();
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         while let Some((v, _)) = stack.pop() {
             prop_assert!(seen.insert(v), "duplicate {}", v);
         }

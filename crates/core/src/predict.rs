@@ -792,7 +792,7 @@ mod tests {
 
     #[test]
     fn regime_labels_unique() {
-        let labels: std::collections::HashSet<_> = [
+        let labels: std::collections::BTreeSet<_> = [
             Regime::IssueBound,
             Regime::TransferBound,
             Regime::DemandBound,

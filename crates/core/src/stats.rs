@@ -103,7 +103,8 @@ pub fn linear_regression(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
     (slope, intercept, r2)
 }
 
-/// Jain's fairness index; 1.0 for degenerate inputs.
+/// Jain's fairness index `(Σx)² / (n·Σx²)`: 1.0 = perfectly fair,
+/// 1/n = one of n takes everything; 1.0 for empty or all-zero inputs.
 pub fn jain(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 1.0;
@@ -171,8 +172,12 @@ mod tests {
     }
 
     #[test]
-    fn jain_matches_sim_definition() {
+    fn jain_spans_one_over_n_to_one() {
         assert!((jain(&[3.0, 3.0, 3.0]) - 1.0).abs() < 1e-12);
         assert!((jain(&[1.0, 0.0]) - 0.5).abs() < 1e-12);
+        assert!((jain(&[1.0, 0.0, 0.0, 0.0]) - 0.25).abs() < 1e-12);
+        // Degenerate inputs count as fair.
+        assert_eq!(jain(&[]), 1.0);
+        assert_eq!(jain(&[0.0, 0.0]), 1.0);
     }
 }

@@ -1,7 +1,7 @@
 //! Measurement harness: runs the paper's workloads on either backend,
 //! produces unified [`Measurement`]s, renders tables, and hosts the
-//! E1..E12 experiment registry that regenerates every table and figure
-//! of the evaluation.
+//! experiment registry (`repro list` prints its ids) that regenerates
+//! every table and figure of the evaluation.
 //!
 //! # Backends
 //!

@@ -250,6 +250,7 @@ impl SetAssocCache {
     }
 
     /// Remove a line (invalidation).
+    #[expect(clippy::disallowed_methods, reason = "invalidation is a `set_state`")]
     pub fn invalidate(&mut self, line: LineId) {
         self.set_state(line, LineState::Invalid);
     }
@@ -261,6 +262,7 @@ impl SetAssocCache {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "unit tests of the mutators")]
 mod tests {
     use super::*;
 

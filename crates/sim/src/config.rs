@@ -857,7 +857,7 @@ mod tests {
 
     #[test]
     fn arbitration_labels_unique() {
-        let labels: std::collections::HashSet<_> =
+        let labels: std::collections::BTreeSet<_> =
             ArbitrationPolicy::ALL.iter().map(|a| a.label()).collect();
         assert_eq!(labels.len(), ArbitrationPolicy::ALL.len());
     }

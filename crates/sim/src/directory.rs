@@ -11,9 +11,9 @@
 use crate::cache::LineId;
 use crate::config::HomePolicy;
 use bounce_topo::{CoherenceKind, MachineTopology, TileId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A coherence request waiting at (or being serviced by) the directory.
 ///
@@ -244,12 +244,12 @@ impl LineDir {
 /// `LineId`. Only a computed address (`OpIndexed`) goes through
 /// `intern` each time it is issued, and gets an index on first touch.
 ///
-/// The `LineId`-keyed methods (`entry`, `get`, `home_tile`, ...) remain
-/// as the compatibility surface; they resolve through the intern map.
+/// The `LineId`-keyed reads (`get`, `lookup`, `home_tile`) resolve
+/// through the intern map.
 #[derive(Debug)]
 pub struct Directory {
     /// LineId -> dense index, populated on first touch.
-    index: HashMap<LineId, u32, MulXorBuild>,
+    index: InternMap<LineId, u32>,
     /// Dense index -> LineId (inverse of `index`).
     lines: Vec<LineId>,
     /// Dense index -> per-line coherence state.
@@ -269,7 +269,7 @@ impl Directory {
     pub fn new(topo: &MachineTopology, policy: HomePolicy, salt: u64) -> Self {
         let home_tiles = topo.tiles.iter().map(|t| t.id).collect();
         Directory {
-            index: HashMap::default(),
+            index: InternMap::default(),
             lines: Vec::new(),
             entries: Vec::new(),
             homes: Vec::new(),
@@ -294,22 +294,21 @@ impl Directory {
     /// precomputed home tile) on first touch.
     #[inline]
     pub fn intern(&mut self, line: LineId) -> u32 {
-        if let Some(&i) = self.index.get(&line) {
-            return i;
+        let next = self.lines.len() as u32;
+        let i = self.index.get_or_insert(line, next);
+        if i == next {
+            let home = self.home_tile(line);
+            self.lines.push(line);
+            self.entries.push(LineDir::default());
+            self.homes.push(home);
         }
-        let i = self.lines.len() as u32;
-        let home = self.home_tile(line);
-        self.index.insert(line, i);
-        self.lines.push(line);
-        self.entries.push(LineDir::default());
-        self.homes.push(home);
         i
     }
 
     /// Dense index of a line, if it has been touched.
     #[inline]
     pub fn lookup(&self, line: LineId) -> Option<u32> {
-        self.index.get(&line).copied()
+        self.index.get(&line)
     }
 
     /// The `LineId` behind a dense index.
@@ -334,12 +333,6 @@ impl Directory {
     #[inline]
     pub fn get_at(&self, idx: u32) -> &LineDir {
         &self.entries[idx as usize]
-    }
-
-    /// The entry for a line, created on first touch.
-    pub fn entry(&mut self, line: LineId) -> &mut LineDir {
-        let i = self.intern(line);
-        &mut self.entries[i as usize]
     }
 
     /// Read-only lookup.
@@ -430,6 +423,35 @@ impl Hasher for MulXorHasher {
 /// A fixed [`MulXorHasher`] for both intern maps.
 pub(crate) type MulXorBuild = BuildHasherDefault<MulXorHasher>;
 
+/// The table of both intern maps, and the one hash map the crate's
+/// `clippy.toml` lets through. Its visit order is unordered, so it
+/// offers keyed access only: no method or trait of it iterates.
+#[derive(Debug)]
+pub(crate) struct InternMap<K, V>(
+    #[allow(clippy::disallowed_types, reason = "keyed access only")]
+    std::collections::HashMap<K, V, MulXorBuild>,
+);
+
+impl<K, V> Default for InternMap<K, V> {
+    fn default() -> Self {
+        InternMap(Default::default())
+    }
+}
+
+impl<K: Hash + Eq, V: Copy> InternMap<K, V> {
+    /// The value under `key`, if any.
+    #[inline]
+    pub(crate) fn get(&self, key: &K) -> Option<V> {
+        self.0.get(key).copied()
+    }
+
+    /// The value under `key`, inserting `value` first if there is none.
+    #[inline]
+    pub(crate) fn get_or_insert(&mut self, key: K, value: V) -> V {
+        *self.0.entry(key).or_insert(value)
+    }
+}
+
 /// SplitMix64 — cheap, well-distributed hash for home-slice selection.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -439,6 +461,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "unit tests of the mutators")]
 mod tests {
     use super::*;
     use bounce_topo::presets;
@@ -451,7 +474,7 @@ mod tests {
         let h2 = dir.home_tile(LineId(0x1000));
         assert_eq!(h1, h2);
         // Many lines spread over many tiles.
-        let homes: std::collections::HashSet<_> =
+        let homes: std::collections::BTreeSet<_> =
             (0..256u64).map(|i| dir.home_tile(LineId(i * 64))).collect();
         assert!(homes.len() > 10, "only {} distinct homes", homes.len());
     }
@@ -470,7 +493,8 @@ mod tests {
         let topo = presets::tiny_test_machine();
         let mut dir = Directory::new(&topo, HomePolicy::Hash, 0);
         assert!(dir.get(LineId(64)).is_none());
-        dir.entry(LineId(64)).owner = Some(1);
+        let i = dir.intern(LineId(64));
+        dir.entry_at(i).owner = Some(1);
         assert_eq!(dir.get(LineId(64)).unwrap().owner, Some(1));
         assert_eq!(dir.tracked_lines(), 1);
     }
@@ -531,17 +555,16 @@ mod tests {
     fn eviction_helpers() {
         let topo = presets::tiny_test_machine();
         let mut dir = Directory::new(&topo, HomePolicy::Hash, 0);
-        {
-            let e = dir.entry(LineId(0));
-            e.owner = Some(2);
-        }
+        let i = dir.intern(LineId(0));
+        dir.entry_at(i).owner = Some(2);
         dir.evict_owner(LineId(0), 1); // wrong core: no-op
         assert_eq!(dir.get(LineId(0)).unwrap().owner, Some(2));
         dir.evict_owner(LineId(0), 2);
         assert_eq!(dir.get(LineId(0)).unwrap().owner, None);
 
         {
-            let e = dir.entry(LineId(64));
+            let i = dir.intern(LineId(64));
+            let e = dir.entry_at(i);
             e.sharers.insert(1);
             e.forward = Some(1);
         }
@@ -573,7 +596,9 @@ mod tests {
         dir.entry_at(i).owner = Some(3);
         // The LineId-keyed view sees the same entry.
         assert_eq!(dir.get(LineId(64)).unwrap().owner, Some(3));
-        dir.entry(LineId(64)).sharers.insert(1);
+        // A repeated `intern` names the same entry.
+        let again = dir.intern(LineId(64));
+        dir.entry_at(again).sharers.insert(1);
         assert!(dir.get_at(i).sharers.contains(1));
     }
 

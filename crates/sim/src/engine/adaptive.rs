@@ -18,8 +18,9 @@
 
 use super::Engine;
 use crate::probe::Probe;
-use crate::report::{jain, RunLengthSummary};
+use crate::report::RunLengthSummary;
 use bounce_core::converge::BatchMeans;
+use bounce_core::stats::jain;
 
 /// Controller state for one adaptive run.
 pub(super) struct AdaptiveCtl {

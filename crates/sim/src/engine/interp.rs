@@ -155,6 +155,7 @@ impl<P: Probe> Engine<P> {
 
     /// Issue `op`: a hit completes locally, a miss sends a request to
     /// the line's home directory.
+    #[expect(clippy::disallowed_methods, reason = "probe-instrumented helper")]
     fn issue_op(&mut self, tid: usize, mut op: CurOp) {
         let core = self.threads[tid].core;
         let (prim, idx, spin) = (op.prim, op.line_idx, op.spin);

@@ -39,7 +39,7 @@
 use crate::cache::{LineId, LineState, SetAssocCache, WordAddr};
 use crate::config::{RunLength, SimConfig};
 use crate::conform::DirSnapshot;
-use crate::directory::{Directory, MulXorBuild, Request};
+use crate::directory::{Directory, InternMap, Request};
 use crate::equeue::CalendarQueue;
 use crate::error::{LineDiag, SimError, StuckThread};
 use crate::faults::{FabricState, FaultState};
@@ -51,7 +51,6 @@ use bounce_atomics::{OpOutcome, Primitive};
 use bounce_topo::{HwThreadId, MachineTopology, TileId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 mod adaptive;
 mod arb;
@@ -227,7 +226,7 @@ pub struct Engine<P: Probe = NoProbe> {
     values: Vec<[u64; WORDS_PER_LINE]>,
     /// Dense index of each (line intern index, core) pair an op names,
     /// in first-use order (see [`Engine::pair_idx`]).
-    pairs: HashMap<(u32, u32), u32, MulXorBuild>,
+    pairs: InternMap<(u32, u32), u32>,
     /// Completion horizon of the exclusive hits on each pair's line in
     /// its core, by pair index.
     hit_busy: Vec<u64>,
@@ -359,7 +358,7 @@ impl<P: Probe> Engine<P> {
             caches,
             dir,
             values: Vec::new(),
-            pairs: HashMap::default(),
+            pairs: InternMap::default(),
             hit_busy: Vec::new(),
             fwd_busy: Vec::new(),
             port_busy: vec![0; nt],
@@ -524,7 +523,7 @@ impl<P: Probe> Engine<P> {
     /// cores, not with every line times every core.
     fn pair_idx(&mut self, idx: u32, core: usize) -> u32 {
         let next = self.hit_busy.len() as u32;
-        let pair = *self.pairs.entry((idx, core as u32)).or_insert(next);
+        let pair = self.pairs.get_or_insert((idx, core as u32), next);
         if pair == next {
             self.hit_busy.push(0);
         }

@@ -18,6 +18,7 @@ use crate::protocol::{DataSource, KindDispatch};
 use bounce_topo::{Domain, TileId};
 
 impl<P: Probe> Engine<P> {
+    #[expect(clippy::disallowed_methods, reason = "probe-instrumented helper")]
     pub(super) fn dir_arrival(&mut self, idx: u32, req: Request) {
         self.energy.directory_j += self.cfg.params.energy.dir_nj * 1e-9;
         let (tid, core) = (req.thread as usize, req.core as usize);
@@ -104,6 +105,7 @@ impl<P: Probe> Engine<P> {
     /// bouncing — while read (GetS) requests are serviced concurrently,
     /// as real home agents do. A waiting GetM has writer priority: once
     /// one is queued, no further GetS starts until it has been served.
+    #[expect(clippy::disallowed_methods, reason = "probe-instrumented helper")]
     pub(super) fn pump(&mut self, idx: u32) {
         loop {
             let e = self.dir.get_at(idx);
@@ -173,6 +175,7 @@ impl<P: Probe> Engine<P> {
     /// family); on a read, the protocol decides how the current owner
     /// demotes and whether it keeps directory ownership (MOESI's Owned
     /// state does, MESI(F) dissolves it into the sharer set).
+    #[expect(clippy::disallowed_methods, reason = "probe-instrumented helper")]
     fn depart_line(&mut self, idx: u32, req: &Request) -> Option<(usize, Domain)> {
         let (tid, core) = (req.thread as usize, req.core as usize);
         let mut bounce = None;
@@ -307,6 +310,7 @@ impl<P: Probe> Engine<P> {
 
     /// Data has arrived at the requester: move the line, linearise the
     /// op, complete it, and start the next queued request(s).
+    #[expect(clippy::disallowed_methods, reason = "probe-instrumented helper")]
     pub(super) fn service_done(&mut self, idx: u32, req: Request) {
         let line = self.dir.line_at(idx);
         {
@@ -385,6 +389,7 @@ impl<P: Probe> Engine<P> {
     }
 
     /// Install a line into a core's L1, handling the eviction.
+    #[expect(clippy::disallowed_methods, reason = "probe-instrumented helper")]
     fn install(&mut self, core: usize, line: LineId, state: LineState) {
         if let Some((evicted, evicted_state)) = self.caches[core].install(line, state) {
             // The victim left the cache inside `install` above, so the

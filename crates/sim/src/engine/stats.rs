@@ -19,7 +19,7 @@ impl<P: Probe> Engine<P> {
         let window = run.ended_at_cycles.saturating_sub(self.cfg.warmup_cycles);
         let window_secs = window as f64 / (self.topo.freq_ghz * 1e9);
         // Static energy: active cores × window.
-        let active_cores: std::collections::HashSet<usize> =
+        let active_cores: std::collections::BTreeSet<usize> =
             self.threads.iter().map(|t| t.core).collect();
         self.energy.static_j =
             active_cores.len() as f64 * self.cfg.params.energy.static_w_per_core * window_secs;

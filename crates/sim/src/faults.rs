@@ -741,7 +741,7 @@ mod tests {
             ..FabricFaultConfig::default()
         };
         let mut s = FabricState::new(&cfg, 5, 2);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..200 {
             let j = s.jitter();
             assert!(j <= 6);

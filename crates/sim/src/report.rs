@@ -448,7 +448,7 @@ impl SimReport {
                 }
             })
             .collect();
-        jain(&xs)
+        bounce_core::stats::jain(&xs)
     }
 
     /// Energy per completed op, nanojoules (0 when no ops).
@@ -470,21 +470,6 @@ impl SimReport {
     pub fn transfers(&self, d: Domain) -> u64 {
         let idx = Domain::ALL.iter().position(|x| *x == d).unwrap();
         self.transfers_by_domain[idx]
-    }
-}
-
-/// Jain's fairness index of a sample vector; 1.0 for empty/degenerate
-/// inputs with all-zero mass.
-pub fn jain(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 1.0;
-    }
-    let s: f64 = xs.iter().sum();
-    let s2: f64 = xs.iter().map(|x| x * x).sum();
-    if s2 == 0.0 {
-        1.0
-    } else {
-        s * s / (xs.len() as f64 * s2)
     }
 }
 
@@ -694,15 +679,6 @@ mod tests {
         assert_eq!(a.count, 2);
         assert_eq!(a.min, 10);
         assert_eq!(a.max, 100);
-    }
-
-    #[test]
-    fn jain_bounds() {
-        assert!((jain(&[1.0, 1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-        let j = jain(&[1.0, 0.0, 0.0, 0.0]);
-        assert!((j - 0.25).abs() < 1e-12);
-        assert_eq!(jain(&[]), 1.0);
-        assert_eq!(jain(&[0.0, 0.0]), 1.0);
     }
 
     fn mk_report() -> SimReport {

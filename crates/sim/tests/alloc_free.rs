@@ -157,6 +157,7 @@ fn new_cache_allocates_nothing() {
 }
 
 #[test]
+#[allow(clippy::disallowed_methods, reason = "measures the L1 model alone")]
 fn cache_holding_one_line_holds_only_its_set() {
     // The presets' geometry. A 24-B `Vec` header for each of the 64
     // sets would hold 1,632 B with one line in.

@@ -7,6 +7,8 @@
 //! their index. Each sequence may open with lookups and invalidations
 //! on the never-installed cache, which has no sets yet.
 
+#![allow(clippy::disallowed_methods, reason = "property tests of the mutators")]
+
 use bounce_sim::cache::{LineId, LineState, SetAssocCache};
 use proptest::prelude::*;
 

@@ -4,12 +4,14 @@
 //! pattern, including lines first touched mid-run (the `OpIndexed`
 //! fallback path), and the sharer bitset with a `BTreeSet<usize>`.
 
+#![allow(clippy::disallowed_methods, reason = "property tests of the mutators")]
+
 use bounce_sim::cache::LineId;
 use bounce_sim::config::HomePolicy;
 use bounce_sim::directory::{CoreSet, Directory};
 use bounce_topo::presets;
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One scripted step on a sharer set.
 #[derive(Debug, Clone)]
@@ -50,8 +52,8 @@ proptest! {
         let topo = presets::tiny_test_machine();
         let mut dir = Directory::new(&topo, policy_from(policy_raw), salt);
         // The reference model: the old engine resolved every access
-        // through a HashMap keyed by LineId.
-        let mut model: HashMap<LineId, u32> = HashMap::new();
+        // through a map keyed by LineId.
+        let mut model: BTreeMap<LineId, u32> = BTreeMap::new();
 
         for (step, &raw) in raw_lines.iter().enumerate() {
             let line = LineId(raw);
@@ -94,21 +96,22 @@ proptest! {
         for &raw in &early {
             dir.intern(LineId(raw));
         }
-        // Mutate some early entries through the legacy accessor...
+        // Mutate some early entries through a repeated `intern`...
         for (k, &core) in owners.iter().enumerate() {
-            let line = LineId(early[k % early.len()]);
-            dir.entry(line).owner = Some(core);
-            dir.entry(line).sharers.insert(core);
+            let again = dir.intern(LineId(early[k % early.len()]));
+            dir.entry_at(again).owner = Some(core);
+            dir.entry_at(again).sharers.insert(core);
         }
         // ...then intern fresh lines mid-run and mutate via dense.
         for (k, &raw) in late.iter().enumerate() {
             let line = LineId(raw);
             let idx = dir.intern(line);
             dir.entry_at(idx).owner = Some(k % 8);
-            // Dense write is visible through the legacy read and
-            // vice versa (same entry, not a copy).
+            // Dense write is visible through the legacy read, and a
+            // repeated `intern` names the same entry, not a copy.
             prop_assert_eq!(dir.get(line).unwrap().owner, Some(k % 8));
-            dir.entry(line).owner = Some((k + 1) % 8);
+            let again = dir.intern(line);
+            dir.entry_at(again).owner = Some((k + 1) % 8);
             prop_assert_eq!(dir.get_at(idx).owner, Some((k + 1) % 8));
         }
         // Early mutations are still visible through both faces.

@@ -174,7 +174,7 @@ impl PlacementOrder {
 mod tests {
     use super::*;
     use crate::presets::{dual_socket_small, tiny_test_machine, xeon_e5_2695_v4};
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn all_policies_produce_permutations() {
@@ -182,7 +182,7 @@ mod tests {
         for p in Placement::ALL {
             let order = p.full_order(&topo);
             assert_eq!(order.len(), topo.num_threads(), "{}", p.label());
-            let set: HashSet<_> = order.iter().collect();
+            let set: BTreeSet<_> = order.iter().collect();
             assert_eq!(set.len(), topo.num_threads(), "{}", p.label());
         }
     }
@@ -191,10 +191,10 @@ mod tests {
     fn packed_uses_distinct_cores_first() {
         let topo = xeon_e5_2695_v4();
         let threads = Placement::Packed.assign(&topo, 36);
-        let cores: HashSet<_> = threads.iter().map(|&t| topo.core_of(t).id).collect();
+        let cores: BTreeSet<_> = threads.iter().map(|&t| topo.core_of(t).id).collect();
         assert_eq!(cores.len(), 36, "first 36 packed threads on 36 cores");
         // And all on both sockets only after filling socket 0.
-        let first18: HashSet<_> = threads[..18].iter().map(|&t| topo.socket_of(t)).collect();
+        let first18: BTreeSet<_> = threads[..18].iter().map(|&t| topo.socket_of(t)).collect();
         assert_eq!(first18.len(), 1);
     }
 

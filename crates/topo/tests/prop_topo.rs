@@ -28,7 +28,7 @@ proptest! {
         for p in Placement::ALL {
             let assigned = p.assign(&topo, n);
             prop_assert_eq!(assigned.len(), n);
-            let set: std::collections::HashSet<_> = assigned.iter().collect();
+            let set: std::collections::BTreeSet<_> = assigned.iter().collect();
             prop_assert_eq!(set.len(), n, "{} duplicated threads", p.label());
             for t in &assigned {
                 prop_assert!(t.0 < topo.num_threads());

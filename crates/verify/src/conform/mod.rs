@@ -382,10 +382,10 @@ pub fn replay_recorder(
         let obs_post = abstract_snapshot(&rec.tracked, &ev.post)
             .map_err(|e| violation(&rec.tracked, ev, index, e, Vec::new()))?;
         let frontier = frontiers.entry(ev.line).or_insert_with(|| vec![blank(n)]);
-        // Between recorded events nothing may touch the line (the
-        // detlint `conform-bypass` rule pins every mutation site to a
-        // recording helper), so the event's pre-snapshot must match the
-        // frontier. A mismatch means a transition dodged the recorder —
+        // Between recorded events nothing may touch the line (the sim
+        // crate's `clippy.toml` bans the coherence-state mutators outside
+        // the recording helpers), so the event's pre-snapshot must match
+        // the frontier. A mismatch means a transition dodged the recorder —
         // or a forged trace.
         let before: Vec<AbsState> = std::mem::take(frontier);
         let pruned: Vec<AbsState> = before

@@ -1,7 +1,8 @@
 //! `bounce-verify` — the static verification layer.
 //!
-//! Three offline passes that check the simulator and its inputs without
-//! running a single simulation event:
+//! Five passes check the simulator, its inputs and the atomics it
+//! models. Four live in this crate; pass 3 is clippy configuration in
+//! the crates it guards:
 //!
 //! 1. **Protocol model checking** ([`model`]): exhaustively enumerate
 //!    every reachable single-line configuration of each
@@ -16,11 +17,12 @@
 //!    zero-cost spin cycles, spins on words no program writes. The
 //!    engine runs the same pass as a mandatory gate; `repro lint`
 //!    drives it over every registered workload.
-//! 3. **Determinism lint** ([`detlint`]): a lexical scan of the
-//!    simulator sources for constructs that would break run-to-run
-//!    reproducibility — wall-clock reads, iteration over unordered
-//!    hash containers, ambient RNG. Run via
-//!    `cargo run -p bounce-verify --bin detlint`.
+//! 3. **Determinism lint**: per-crate `clippy.toml` files in
+//!    `bounce-{sim,core,topo,atomics}` ban wall-clock reads, ambient
+//!    RNG, hash containers, `std` atomics built outside the `cell` shim
+//!    and coherence-state mutation outside the engine's
+//!    probe-instrumented helpers. Run via `cargo clippy --workspace
+//!    --all-targets -- -D warnings`; see DESIGN.md.
 //! 4. **`schedcheck`** ([`exec`]): a loom-style exhaustive
 //!    interleaving + memory-ordering model checker that runs the
 //!    *real* `bounce-atomics` structures (generic over their atomic
@@ -41,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod conform;
-pub mod detlint;
 pub mod exec;
 pub mod lint;
 pub mod model;
@@ -53,6 +54,5 @@ pub use conform::{
     abstract_snapshot, replay_recorder, ConformError, ConformOutcome, CoverageReport, Obs,
     RefinementViolation,
 };
-pub use detlint::{scan_file, scan_file_opts, scan_tree, scan_tree_opts, Finding, Options, Rule};
 pub use lint::{lint_workload, lint_workloads, WorkloadLint, LINT_THREAD_COUNTS};
 pub use model::{check, check_all_cores, replay, ArgClass, Report, Row, Violation};

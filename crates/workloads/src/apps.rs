@@ -44,16 +44,7 @@ impl AppResult {
     /// Jain fairness over per-thread op counts.
     pub fn jain(&self) -> f64 {
         let xs: Vec<f64> = self.per_thread_ops.iter().map(|&x| x as f64).collect();
-        if xs.is_empty() {
-            return 1.0;
-        }
-        let s: f64 = xs.iter().sum();
-        let s2: f64 = xs.iter().map(|x| x * x).sum();
-        if s2 == 0.0 {
-            1.0
-        } else {
-            s * s / (xs.len() as f64 * s2)
-        }
+        bounce_core::stats::jain(&xs)
     }
 }
 
