@@ -5,10 +5,11 @@
 //!
 //! * `hc_faa_n288` (high contention at KNL's full 288 threads): one body
 //!   that every thread shares, so the cost should not grow with n.
-//! * `lc_faa_n288` (low contention, same n): a private line, so a body
-//!   per thread; the per-body CFG passes do the work.
-//! * `mcs_n64` (the MCS lock): a body per thread with spins and strided
-//!   writes, so spin liveness checks every spin word.
+//! * `lc_faa_n288` (low contention, same n): one body on each thread's
+//!   private line, indexed by the thread-index register, so it costs
+//!   what the HC body does.
+//! * `mcs_n64` (the MCS lock): one body whose spins wait on the thread's
+//!   own node, so spin liveness resolves each thread's spin words.
 //!
 //! The programs do not depend on the machine, so no topology is built.
 

@@ -12,20 +12,26 @@
 //!   op; a path that reaches them without executing any op reads a
 //!   meaningless initial latch.
 //! * **Definite assignment** — registers used as *addresses or control*
-//!   (`OpIndexed` index, `BranchIfRegZero` test, `RegAdd` source) must
-//!   be written on every path first. Value operands ([`crate::program::Operand::Reg`] in
+//!   (`OpIndexed`/`SpinIndexed` index, `BranchIfRegZero` test, `RegAdd`
+//!   source) must be written on every path first; [`THREAD_REG`] is
+//!   assigned at entry. Value operands ([`crate::program::Operand::Reg`] in
 //!   an op's operand/expected slot) are exempt: registers are documented
 //!   to start at zero and the CAS increment loop deliberately compares
 //!   against that initial zero on its first attempt.
 //! * **Zero-cost cycles** — a cycle through the CFG containing no
-//!   time-consuming step (`Op`, `OpIndexed`, `Work`, `SpinWhile`) would
-//!   livelock the interpreter at zero simulated cost. The SCC analysis
-//!   here subsumes [`Program::new`]'s conservative straight-line walk
-//!   and additionally catches pure register-branch cycles.
+//!   time-consuming step (`Op`, `OpIndexed`, `Work`, `SpinWhile`,
+//!   `SpinIndexed`) would livelock the interpreter at zero simulated
+//!   cost. The SCC analysis here subsumes [`Program::new`]'s
+//!   conservative straight-line walk and additionally catches pure
+//!   register-branch cycles.
 //! * **Spin liveness** (workload-level) — a [`Step::SpinWhile`] waits
 //!   for a word to *change*; if no program in the workload (the spinner
 //!   itself included — lock release paths re-arm their own flag) ever
-//!   writes that word, the spin can never be woken.
+//!   writes that word, the spin can never be woken. A
+//!   [`Step::SpinIndexed`] on [`THREAD_REG`] waits on one word per
+//!   thread, each checked for its own thread; one indexed by another
+//!   register waits on a word known only at run time and is not
+//!   checked.
 //!
 //! The workload-level entry point [`analyze_workload`] runs as a
 //! mandatory pass in [`Engine::try_run`](crate::Engine::try_run) before
@@ -33,7 +39,7 @@
 //! offline `repro lint` subcommand.
 
 use crate::cache::WordAddr;
-use crate::program::{Program, ProgramError, Step, NUM_REGS};
+use crate::program::{Program, ProgramError, Step, NUM_REGS, THREAD_REG};
 use std::fmt;
 use std::ops::Range;
 
@@ -69,12 +75,12 @@ pub enum AnalysisError {
         /// The steps of the cycle, ascending.
         steps: Vec<usize>,
     },
-    /// A `SpinWhile` observes a word that no program in the workload
-    /// ever writes: the spin can never be woken.
+    /// A spin observes a word that no program in the workload ever
+    /// writes: the spin can never be woken.
     SpinTargetNeverWritten {
         /// The spinning step.
         step: usize,
-        /// The word being observed.
+        /// The word being observed (by the diagnostic's thread).
         addr: WordAddr,
     },
 }
@@ -152,18 +158,18 @@ fn successors(steps: &[Step], i: usize) -> impl Iterator<Item = usize> {
 /// potential livelock cycle). Ops and spin loads always cost at least
 /// the L1-hit latency; `Work` burns its cycle count.
 fn consumes_time(s: &Step) -> bool {
-    matches!(
-        s,
-        Step::Op { .. } | Step::OpIndexed { .. } | Step::Work(_) | Step::SpinWhile { .. }
-    )
+    matches!(s, Step::Work(_)) || produces_outcome(s)
 }
 
 /// Whether the step latches an op outcome for `SetRegFromPrev` and the
-/// success branches (a `SpinWhile` issues real loads, so it counts).
+/// success branches (a spin issues real loads, so it counts).
 fn produces_outcome(s: &Step) -> bool {
     matches!(
         s,
-        Step::Op { .. } | Step::OpIndexed { .. } | Step::SpinWhile { .. }
+        Step::Op { .. }
+            | Step::OpIndexed { .. }
+            | Step::SpinWhile { .. }
+            | Step::SpinIndexed { .. }
     )
 }
 
@@ -180,7 +186,7 @@ fn written_reg(s: &Step) -> Option<u8> {
 /// (value operands are exempt — see the module docs).
 fn control_read(s: &Step) -> Option<u8> {
     match s {
-        Step::OpIndexed { reg, .. } => Some(*reg),
+        Step::OpIndexed { reg, .. } | Step::SpinIndexed { reg, .. } => Some(*reg),
         Step::BranchIfRegZero(r, _) => Some(*r),
         Step::RegAdd { src, .. } => Some(*src),
         _ => None,
@@ -210,36 +216,66 @@ pub fn analyze_steps(steps: &[Step]) -> Vec<AnalysisError> {
 /// cross-program spin-liveness check. Program `i` is thread `i`.
 ///
 /// The diagnostics are those of analyzing each program on its own, in
-/// thread order, but the work is done per run of consecutive threads:
-/// the CFG passes run once per run of bodies with one control shape
-/// (equal length and, step by step, the same kind, jump target and
-/// register fields), and the spin check once per run of equal step
-/// lists (usually clones of one [`Program`]).
+/// thread order, with [`THREAD_REG`] holding the thread's index, but
+/// the work is done per run of consecutive threads: the CFG passes run
+/// once per run of bodies with one control shape (equal length and,
+/// step by step, the same kind, jump target and register fields), and
+/// the spin check once per run of equal step lists (usually clones of
+/// one [`Program`]), or once per thread of such a run if a spin of its
+/// body is indexed by the thread index.
 pub fn analyze_workload(programs: &[&Program]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (threads, body) in runs(programs, same_shape) {
         tag(&mut out, threads, &analyze_program(body));
     }
-    // Spin liveness: every SpinWhile word must be covered by a write
-    // target of some body.
-    let bodies = || runs(programs, |p, q| p.steps() == q.steps());
-    for (threads, body) in bodies() {
-        let dead: Vec<AnalysisError> = body
-            .steps()
-            .iter()
-            .enumerate()
-            .filter_map(|(step, s)| match *s {
-                Step::SpinWhile { addr, .. }
-                    if !bodies().any(|(_, q)| program_writes_word(q, addr)) =>
-                {
-                    Some(AnalysisError::SpinTargetNeverWritten { step, addr })
+    // Spin liveness: every spin word must be covered by a write target
+    // of some body.
+    for (threads, body) in bodies(programs) {
+        let per_thread = body.steps().iter().any(|s| {
+            matches!(
+                s,
+                Step::SpinIndexed {
+                    reg: THREAD_REG,
+                    ..
                 }
-                _ => None,
-            })
-            .collect();
-        tag(&mut out, threads, &dead);
+            )
+        });
+        if per_thread {
+            for thread in threads {
+                let dead = dead_spins(programs, body, thread);
+                out.extend(dead.map(|error| Diagnostic { thread, error }));
+            }
+        } else {
+            let dead: Vec<AnalysisError> = dead_spins(programs, body, threads.start).collect();
+            tag(&mut out, threads, &dead);
+        }
     }
     out
+}
+
+/// The runs of consecutive programs with equal steps.
+fn bodies<'a>(
+    programs: &'a [&'a Program],
+) -> impl Iterator<Item = (Range<usize>, &'a Program)> + 'a {
+    runs(programs, |p, q| p.steps() == q.steps())
+}
+
+/// The spins of `body` that, run by thread `thread`, observe a word no
+/// body of `programs` writes.
+fn dead_spins<'a>(
+    programs: &'a [&'a Program],
+    body: &'a Program,
+    thread: usize,
+) -> impl Iterator<Item = AnalysisError> + 'a {
+    body.steps()
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| matches!(s, Step::SpinWhile { .. } | Step::SpinIndexed { .. }))
+        .filter_map(move |(step, s)| {
+            let addr = s.thread_word(thread)?;
+            let written = bodies(programs).any(|(writers, q)| body_writes_word(q, writers, addr));
+            (!written).then_some(AnalysisError::SpinTargetNeverWritten { step, addr })
+        })
 }
 
 /// Append `errs` to `out` once for each thread in `threads`.
@@ -288,7 +324,8 @@ fn same_shape(p: &Program, q: &Program) -> bool {
             | (Step::Halt, Step::Halt) => true,
             (Step::SetRegFromPrev(r), Step::SetRegFromPrev(s))
             | (Step::SetRegConst(r, _), Step::SetRegConst(s, _))
-            | (Step::OpIndexed { reg: r, .. }, Step::OpIndexed { reg: s, .. }) => r == s,
+            | (Step::OpIndexed { reg: r, .. }, Step::OpIndexed { reg: s, .. })
+            | (Step::SpinIndexed { reg: r, .. }, Step::SpinIndexed { reg: s, .. }) => r == s,
             (Step::RegAdd { dst, src, .. }, Step::RegAdd { dst: d, src: s, .. }) => {
                 dst == d && src == s
             }
@@ -300,14 +337,21 @@ fn same_shape(p: &Program, q: &Program) -> bool {
         })
 }
 
-/// Whether any step of `p` can write `addr`. Direct ops match the exact
-/// word; indexed ops match any word the stride lattice can reach (the
-/// index register is runtime data, so every multiple of the stride is
-/// assumed reachable — conservative in the right direction for a
-/// liveness check).
-fn program_writes_word(p: &Program, addr: WordAddr) -> bool {
+/// Whether any step of `p`, run by the threads `writers`, can write
+/// `addr`. Direct ops match the exact word, and ops indexed by
+/// [`THREAD_REG`] the word of some thread in `writers`; ops indexed by
+/// another register match any word the stride lattice can reach (that
+/// index is runtime data, so every multiple of the stride is assumed
+/// reachable — conservative in the right direction for a liveness
+/// check).
+fn body_writes_word(p: &Program, writers: Range<usize>, addr: WordAddr) -> bool {
     p.steps().iter().any(|s| match s {
         Step::Op { prim, addr: a, .. } => prim.needs_exclusive() && *a == addr,
+        Step::OpIndexed {
+            prim,
+            reg: THREAD_REG,
+            ..
+        } => prim.needs_exclusive() && writers.clone().any(|j| s.thread_word(j) == Some(addr)),
         Step::OpIndexed {
             prim, base, stride, ..
         } => {
@@ -357,6 +401,7 @@ fn cfg_errors(steps: &[Step]) -> Vec<AnalysisError> {
     let mut wr_in = vec![[true; NUM_REGS]; n];
     op_in[0] = false;
     wr_in[0] = [false; NUM_REGS];
+    wr_in[0][THREAD_REG as usize] = true;
     let transfer_op = |i: usize, v: bool| v || produces_outcome(&steps[i]);
     let transfer_wr = |i: usize, mut v: [bool; NUM_REGS]| {
         if let Some(r) = written_reg(&steps[i]) {
@@ -520,8 +565,8 @@ mod tests {
             builders::tas_lock_loop(addr(), 50, 50),
             builders::ttas_lock_loop(addr(), 50, 50),
             builders::ticket_lock_loop(addr(), WordAddr::of_line(0x2000), 50, 50),
+            builders::thread_op_loop(Primitive::Cas, addr(), 128, 10),
             builders::mcs_lock_loop(
-                1,
                 addr(),
                 WordAddr::of_line(0x3_0000),
                 WordAddr::of_line(0x4_0000),
@@ -680,6 +725,92 @@ mod tests {
         ])
         .unwrap();
         assert!(analyze_workload(&[&spinner, &writer]).is_empty());
+    }
+
+    #[test]
+    fn thread_index_is_assigned_at_entry() {
+        // r4 is read as an index and a control value before any step
+        // writes it (none may): it holds the thread's index.
+        let p = Program::new(vec![
+            Step::RegAdd {
+                dst: 0,
+                src: THREAD_REG,
+                k: 1,
+            },
+            Step::OpIndexed {
+                prim: Primitive::Faa,
+                base: addr(),
+                reg: THREAD_REG,
+                stride: 128,
+                operand: Operand::Const(1),
+                expected: Operand::Const(0),
+            },
+            Step::BranchIfRegZero(THREAD_REG, 0),
+            Step::Goto(0),
+        ])
+        .unwrap();
+        assert!(analyze_program(&p).is_empty());
+    }
+
+    #[test]
+    fn thread_indexed_spin_is_checked_per_thread() {
+        // Each thread spins on its own flag; only thread 1's flag is
+        // written (by the writer, thread 3). Threads 0 and 2 get a
+        // diagnostic each, naming their own word.
+        let base = WordAddr::of_line(0x3_0000);
+        let spinner = Program::new(vec![
+            Step::SpinIndexed {
+                base,
+                reg: THREAD_REG,
+                stride: 128,
+                pred: crate::program::SpinPred::WhileEq(Operand::Const(1)),
+            },
+            op(Primitive::Faa),
+            Step::Goto(0),
+        ])
+        .unwrap();
+        let writer = builders::op_loop(Primitive::Store, base.indexed(128, 1), 0);
+        let workload = [&spinner, &spinner, &spinner, &writer];
+        let diags = analyze_workload(&workload);
+        let dead = |thread: usize| Diagnostic {
+            thread,
+            error: AnalysisError::SpinTargetNeverWritten {
+                step: 0,
+                addr: base.indexed(128, thread as u64),
+            },
+        };
+        assert_eq!(diags, vec![dead(0), dead(2)]);
+        // A body that writes the word of its own thread index covers
+        // the spin of the thread with that index, and only its.
+        let arming = Program::new(vec![
+            Step::OpIndexed {
+                prim: Primitive::Store,
+                base,
+                reg: THREAD_REG,
+                stride: 128,
+                operand: Operand::Const(1),
+                expected: Operand::Const(0),
+            },
+            Step::Work(5),
+            Step::Goto(0),
+        ])
+        .unwrap();
+        let workload = [&spinner, &spinner, &arming, &spinner];
+        assert_eq!(analyze_workload(&workload), vec![dead(0), dead(1), dead(3)]);
+        // An indexed spin on a run-time register is not checked.
+        let runtime = Program::new(vec![
+            Step::SetRegConst(1, 7),
+            Step::SpinIndexed {
+                base,
+                reg: 1,
+                stride: 128,
+                pred: crate::program::SpinPred::WhileBitSet,
+            },
+            op(Primitive::Faa),
+            Step::Goto(0),
+        ])
+        .unwrap();
+        assert!(analyze_workload(&[&runtime, &runtime]).is_empty());
     }
 
     #[test]

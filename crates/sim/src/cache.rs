@@ -22,6 +22,15 @@ impl WordAddr {
             word: 0,
         }
     }
+
+    /// The same word of the line `stride · index` past this word's line
+    /// (wrapping): where an indexed step with this base lands.
+    pub const fn indexed(self, stride: u64, index: u64) -> Self {
+        WordAddr {
+            line: LineId(self.line.0.wrapping_add(stride.wrapping_mul(index))),
+            word: self.word,
+        }
+    }
 }
 
 /// MESI(F)/MOESI line state in a private cache.

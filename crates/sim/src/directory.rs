@@ -239,10 +239,12 @@ impl LineDir {
 /// assigns it a small `u32` index ([`Directory::intern`]) and precomputes
 /// its home tile; every later access is a plain vector index. The engine
 /// interns every address its programs name when a thread is added,
-/// keeps each fixed-address step's index by pc and stores indices in its
-/// events, so neither issuing such a step nor handling an event hashes a
-/// `LineId`. Only a computed address (`OpIndexed`) goes through
-/// `intern` each time it is issued, and gets an index on first touch.
+/// keeps each fixed-address step's index by pc (a step indexed by the
+/// thread-index register has one fixed address per thread) and stores
+/// indices in its events, so neither issuing such a step nor handling an
+/// event hashes a `LineId`. Only an address computed from another
+/// register goes through `intern` each time it is issued, and gets an
+/// index on first touch.
 ///
 /// The `LineId`-keyed reads (`get`, `lookup`, `home_tile`) resolve
 /// through the intern map.

@@ -44,7 +44,7 @@ use crate::equeue::CalendarQueue;
 use crate::error::{LineDiag, SimError, StuckThread};
 use crate::faults::{FabricState, FaultState};
 use crate::probe::{NoProbe, Probe, ProbeEvent, Transition};
-use crate::program::{Program, SpinPred, Step, NUM_REGS};
+use crate::program::{Program, SpinPred, Step, NUM_REGS, THREAD_REG};
 use crate::protocol::CoherenceKind;
 use crate::report::{EnergyBreakdown, RunLengthSummary, SimReport, ThreadReport};
 use bounce_atomics::{OpOutcome, Primitive};
@@ -156,9 +156,10 @@ struct ThreadSt {
     hw: HwThreadId,
     core: usize,
     program: Program,
-    /// The line each `Op` and `SpinWhile` step names, by pc, as its
-    /// intern index and the pair index of (line, this thread's core)
-    /// ([`NO_LINE`] at every other pc), resolved in `add_thread`.
+    /// The line each step names before the run (see
+    /// [`Step::thread_word`]), by pc, as its intern index and the pair
+    /// index of (line, this thread's core) ([`NO_LINE`] at every other
+    /// pc), resolved in `add_thread`.
     lines: Box<[(u32, u32)]>,
     pc: usize,
     regs: [u64; NUM_REGS],
@@ -446,6 +447,8 @@ impl<P: Probe> Engine<P> {
     }
 
     /// Pin a simulated thread running `program` to hardware thread `hw`.
+    /// The thread's index is its position in add order, and its
+    /// [`THREAD_REG`] starts at that index.
     ///
     /// # Panics
     /// Panics if `hw` is out of range or already occupied.
@@ -456,32 +459,36 @@ impl<P: Probe> Engine<P> {
             "hardware thread {hw:?} already occupied"
         );
         let core = self.topo.threads[hw.0].core.0;
+        let index = self.threads.len();
         // Intern every line the program names up front and keep each
         // fixed line's index and (line, core) pair by pc, so issuing an
-        // `Op` or `SpinWhile` never hashes. Lines computed at run time
-        // (`OpIndexed`) intern when issued.
+        // `Op` or `SpinWhile`, or an indexed step on the thread index,
+        // never hashes. Lines computed from other registers intern when
+        // issued.
         let lines = program
             .steps()
             .iter()
-            .map(|step| match *step {
-                Step::Op { addr, .. } | Step::SpinWhile { addr, .. } => {
+            .map(|step| match (step.thread_word(index), *step) {
+                (Some(addr), _) => {
                     let idx = self.line_idx(addr.line);
                     (idx, self.pair_idx(idx, core))
                 }
-                Step::OpIndexed { base, .. } => {
+                (None, Step::OpIndexed { base, .. } | Step::SpinIndexed { base, .. }) => {
                     self.line_idx(base.line);
                     NO_LINE
                 }
                 _ => NO_LINE,
             })
             .collect();
+        let mut regs = [0; NUM_REGS];
+        regs[THREAD_REG as usize] = index as u64;
         self.threads.push(ThreadSt {
             hw,
             core,
             program,
             lines,
             pc: 0,
-            regs: [0; NUM_REGS],
+            regs,
             last_success: true,
             status: Status::Ready,
             cur_op: None,

@@ -261,6 +261,36 @@ fn indexed_and_fixed_hits_on_one_line_share_a_horizon() {
 }
 
 #[test]
+fn thread_index_register_holds_the_add_order() {
+    // One body: store 100 + r4 into the thread's own line, then halt.
+    // Each thread's line and value follow its position in add order,
+    // not its hardware thread.
+    let topo = tiny();
+    let base = WordAddr::of_line(0x9000);
+    let body = Program::new(vec![
+        Step::OpIndexed {
+            prim: Primitive::Store,
+            base,
+            reg: THREAD_REG,
+            stride: 128,
+            operand: Operand::RegPlus(THREAD_REG, 100),
+            expected: Operand::Const(0),
+        },
+        Step::Halt,
+    ])
+    .unwrap();
+    let mut eng = Engine::new(&topo, cfg(10_000));
+    for hw in [3, 0, 2] {
+        eng.add_thread(HwThreadId(hw), body.clone());
+    }
+    eng.try_run().expect("run completes");
+    for j in 0..3 {
+        assert_eq!(eng.word(base.indexed(128, j)), 100 + j, "thread {j}");
+    }
+    assert_eq!(eng.word(base.indexed(128, 3)), 0);
+}
+
+#[test]
 fn a_finished_engine_runs_no_more_events() {
     // The first run's reports moved out at `finish`; a second run
     // processes no events, so nothing records into them, and reports
@@ -339,11 +369,9 @@ fn mcs_lock_hands_off_and_stays_fair() {
     let tail = WordAddr::of_line(0x2_0000);
     let flag_base = WordAddr::of_line(0x3_0000);
     let next_base = WordAddr::of_line(0x4_0000);
-    for (i, &h) in hw.iter().enumerate() {
-        eng.add_thread(
-            h,
-            builders::mcs_lock_loop(i, tail, flag_base, next_base, 80, 40),
-        );
+    let body = builders::mcs_lock_loop(tail, flag_base, next_base, 80, 40);
+    for &h in &hw {
+        eng.add_thread(h, body.clone());
     }
     let r = eng.try_run().expect("run completes");
     // One Swap per acquisition: every thread acquired repeatedly and
@@ -378,7 +406,6 @@ fn mcs_single_thread_fast_path() {
     eng.add_thread(
         HwThreadId(0),
         builders::mcs_lock_loop(
-            0,
             WordAddr::of_line(0x2_0000),
             WordAddr::of_line(0x3_0000),
             WordAddr::of_line(0x4_0000),

@@ -10,6 +10,10 @@
 //! * spin locks (`SpinWhile` for local spinning, `BranchIfFail` for
 //!   RMW-retry spinning).
 //!
+//! Register [`THREAD_REG`] holds the thread's index, so one body serves
+//! every thread of a role: a step indexed by it (`OpIndexed`,
+//! `SpinIndexed`) names the thread's own line.
+//!
 //! Programs are data, so the same workload definition drives the
 //! simulator backend; the native backend (`bounce-harness`) compiles the
 //! common shapes to real code.
@@ -19,8 +23,15 @@ use bounce_atomics::Primitive;
 use std::fmt;
 use std::sync::Arc;
 
-/// Number of general-purpose registers per thread.
-pub const NUM_REGS: usize = 4;
+/// Number of registers per thread, [`THREAD_REG`] included.
+pub const NUM_REGS: usize = 5;
+
+/// The thread-index register. [`Engine::add_thread`](crate::Engine::add_thread)
+/// presets it to the thread's index, its position in add order, and no
+/// step may write it, so a step indexed by it names one line per thread
+/// and the engine resolves that line before the run. Every other
+/// register starts at zero.
+pub const THREAD_REG: u8 = 4;
 
 /// Why [`Program::new`] rejected a step list.
 ///
@@ -47,6 +58,11 @@ pub enum ProgramError {
         /// The offending register index.
         reg: u8,
     },
+    /// A step writes the read-only [`THREAD_REG`].
+    WritesThreadReg {
+        /// The writing step.
+        step: usize,
+    },
     /// A cycle of pure control steps (no op, work, spin, or halt) is
     /// reachable: the interpreter would loop forever at zero simulated
     /// cost.
@@ -70,6 +86,12 @@ impl fmt::Display for ProgramError {
                 write!(
                     f,
                     "step {step}: register r{reg} out of range (have {NUM_REGS})"
+                )
+            }
+            ProgramError::WritesThreadReg { step } => {
+                write!(
+                    f,
+                    "step {step}: writes r{THREAD_REG}, the read-only thread index"
                 )
             }
             ProgramError::ControlOnlyCycle { from } => {
@@ -157,10 +179,11 @@ pub enum Step {
     },
     /// Jump if `regs[reg] == 0` (null-pointer checks for queue locks).
     BranchIfRegZero(u8, usize),
-    /// Like [`Step::Op`], but the target line is computed at issue time:
-    /// `line = base.line + stride · regs[reg]` — the register-indirect
-    /// addressing that queue locks (MCS) need to reach their
-    /// predecessor's/successor's node line.
+    /// Like [`Step::Op`], but the target line is computed:
+    /// `line = base.line + stride · regs[reg]` (see [`WordAddr::indexed`])
+    /// — the register-indirect addressing that queue locks (MCS) need to
+    /// reach their predecessor's/successor's node line. Indexed by
+    /// [`THREAD_REG`], it names the thread's own line.
     OpIndexed {
         /// Primitive to execute.
         prim: Primitive,
@@ -175,8 +198,46 @@ pub enum Step {
         /// CAS comparand.
         expected: Operand,
     },
+    /// [`Step::SpinWhile`] on a word addressed like [`Step::OpIndexed`]'s:
+    /// `line = base.line + stride · regs[reg]`. Indexed by
+    /// [`THREAD_REG`], it spins on the thread's own flag or link.
+    SpinIndexed {
+        /// Base word (its line is the index origin; `word` carries over).
+        base: WordAddr,
+        /// Index register.
+        reg: u8,
+        /// Line stride in bytes per index unit.
+        stride: u64,
+        /// Wait condition.
+        pred: SpinPred,
+    },
     /// Stop this thread.
     Halt,
+}
+
+impl Step {
+    /// The word this step names when thread `thread` runs it, if that
+    /// is known before the run: an `Op`'s or `SpinWhile`'s word, or the
+    /// thread's own word of a step indexed by [`THREAD_REG`]. `None` for
+    /// every other step, indexed ones on other registers included.
+    pub fn thread_word(&self, thread: usize) -> Option<WordAddr> {
+        match *self {
+            Step::Op { addr, .. } | Step::SpinWhile { addr, .. } => Some(addr),
+            Step::OpIndexed {
+                base,
+                reg: THREAD_REG,
+                stride,
+                ..
+            }
+            | Step::SpinIndexed {
+                base,
+                reg: THREAD_REG,
+                stride,
+                ..
+            } => Some(base.indexed(stride, thread as u64)),
+            _ => None,
+        }
+    }
 }
 
 /// A validated program.
@@ -193,10 +254,11 @@ impl Program {
     /// Wrap and validate a step list.
     ///
     /// Validation rejects: empty programs, jump targets out of range,
-    /// register indices out of range, and programs whose plain-control
-    /// cycles contain neither an op, work, spin, nor halt (they would
-    /// livelock the interpreter at zero simulated cost). Each rejection
-    /// is a typed [`ProgramError`] naming the offending step.
+    /// register indices out of range, writes to [`THREAD_REG`], and
+    /// programs whose plain-control cycles contain neither an op, work,
+    /// spin, nor halt (they would livelock the interpreter at zero
+    /// simulated cost). Each rejection is a typed [`ProgramError`]
+    /// naming the offending step.
     pub fn new(steps: Vec<Step>) -> Result<Program, ProgramError> {
         if steps.is_empty() {
             return Err(ProgramError::Empty);
@@ -209,10 +271,24 @@ impl Program {
                 Err(ProgramError::RegisterOutOfRange { step: i, reg: r })
             }
         };
+        let check_write = |i: usize, r: u8| -> Result<(), ProgramError> {
+            check_reg(i, r)?;
+            if r == THREAD_REG {
+                Err(ProgramError::WritesThreadReg { step: i })
+            } else {
+                Ok(())
+            }
+        };
         let check_op = |i: usize, o: &Operand| -> Result<(), ProgramError> {
             match o {
                 Operand::Const(_) => Ok(()),
                 Operand::Reg(r) | Operand::RegPlus(r, _) => check_reg(i, *r),
+            }
+        };
+        let check_pred = |i: usize, p: &SpinPred| -> Result<(), ProgramError> {
+            match p {
+                SpinPred::WhileBitSet => Ok(()),
+                SpinPred::WhileNe(o) | SpinPred::WhileEq(o) => check_op(i, o),
             }
         };
         let check_target = |i: usize, t: usize| -> Result<(), ProgramError> {
@@ -235,9 +311,9 @@ impl Program {
                     check_reg(i, *r)?;
                     check_target(i, *t)?;
                 }
-                Step::SetRegFromPrev(r) | Step::SetRegConst(r, _) => check_reg(i, *r)?,
+                Step::SetRegFromPrev(r) | Step::SetRegConst(r, _) => check_write(i, *r)?,
                 Step::RegAdd { dst, src, .. } => {
-                    check_reg(i, *dst)?;
+                    check_write(i, *dst)?;
                     check_reg(i, *src)?;
                 }
                 Step::Op {
@@ -256,10 +332,10 @@ impl Program {
                     check_op(i, operand)?;
                     check_op(i, expected)?;
                 }
-                Step::SpinWhile { pred, .. } => {
-                    if let SpinPred::WhileNe(o) | SpinPred::WhileEq(o) = pred {
-                        check_op(i, o)?;
-                    }
+                Step::SpinWhile { pred, .. } => check_pred(i, pred)?,
+                Step::SpinIndexed { reg, pred, .. } => {
+                    check_reg(i, *reg)?;
+                    check_pred(i, pred)?;
                 }
                 Step::Work(_) | Step::Halt => {}
             }
@@ -339,28 +415,40 @@ pub mod builders {
     /// read (expected starts at 0 and re-latches the observed value on
     /// each attempt), so failures are real but no read window exists.
     pub fn op_loop(prim: Primitive, addr: WordAddr, work: u64) -> Program {
+        op_loop_of(prim, work, |operand, expected| Step::Op {
+            prim,
+            addr,
+            operand,
+            expected,
+        })
+    }
+
+    /// [`op_loop`] on each thread's own line: thread `j` (the
+    /// [`THREAD_REG`] value) applies `prim` to `base + stride · j`, so
+    /// every thread runs this one body.
+    pub fn thread_op_loop(prim: Primitive, base: WordAddr, stride: u64, work: u64) -> Program {
+        op_loop_of(prim, work, |operand, expected| Step::OpIndexed {
+            prim,
+            base,
+            reg: THREAD_REG,
+            stride,
+            operand,
+            expected,
+        })
+    }
+
+    /// The op loop with `op(operand, expected)` as its op step.
+    fn op_loop_of(prim: Primitive, work: u64, op: impl Fn(Operand, Operand) -> Step) -> Program {
         let mut steps = Vec::new();
         if work > 0 {
             steps.push(Step::Work(work));
         }
         match prim {
             Primitive::Cas => {
-                steps.push(Step::Op {
-                    prim,
-                    addr,
-                    operand: Operand::RegPlus(0, 1),
-                    expected: Operand::Reg(0),
-                });
+                steps.push(op(Operand::RegPlus(0, 1), Operand::Reg(0)));
                 steps.push(Step::SetRegFromPrev(0));
             }
-            _ => {
-                steps.push(Step::Op {
-                    prim,
-                    addr,
-                    operand: Operand::Const(1),
-                    expected: Operand::Const(0),
-                });
-            }
+            _ => steps.push(op(Operand::Const(1), Operand::Const(0))),
         }
         steps.push(Step::Goto(0));
         Program::new(steps).expect("op_loop is well-formed")
@@ -507,49 +595,48 @@ pub mod builders {
         Program::new(steps).expect("ttas lock loop is well-formed")
     }
 
-    /// MCS queue lock for thread `i` of `..n` contenders.
+    /// MCS queue lock, one body for every contender.
     ///
     /// Per-thread node lines: thread `j`'s spin flag lives on
     /// `flag_base + 128·j` and its successor link on
-    /// `next_base + 128·j`; the shared `tail` word holds `index + 1`
-    /// (0 = unlocked). Registers: `r3` = own index+1; `r0` = swapped-out
-    /// predecessor; `r1`/`r2` = index scratch.
+    /// `next_base + 128·j`, indexed by [`THREAD_REG`] for its own node;
+    /// the shared `tail` word holds `index + 1` (0 = unlocked).
+    /// Registers: `r3` = own index+1; `r0` = swapped-out predecessor;
+    /// `r1`/`r2` = index scratch.
     ///
     /// The shape of the handoff is the point: a releaser writes to its
     /// *successor's private flag line* — exactly one cache-line transfer
     /// per handoff, no matter how many threads spin.
     pub fn mcs_lock_loop(
-        i: usize,
         tail: WordAddr,
         flag_base: WordAddr,
         next_base: WordAddr,
         cs: u64,
         noncs: u64,
     ) -> Program {
-        let flag_mine = WordAddr {
-            line: crate::cache::LineId(flag_base.line.0 + 128 * i as u64),
-            word: flag_base.word,
+        let node = |base: WordAddr, reg: u8, prim: Primitive, operand: Operand| Step::OpIndexed {
+            prim,
+            base,
+            reg,
+            stride: 128,
+            operand,
+            expected: Operand::Const(0),
         };
-        let next_mine = WordAddr {
-            line: crate::cache::LineId(next_base.line.0 + 128 * i as u64),
-            word: next_base.word,
+        let spin_own = |base: WordAddr, k: u64| Step::SpinIndexed {
+            base,
+            reg: THREAD_REG,
+            stride: 128,
+            pred: SpinPred::WhileEq(Operand::Const(k)),
         };
-        let my_handle = (i + 1) as u64;
         let steps = vec![
             // 0: arm own node: flag = locked, next = null.
-            Step::SetRegConst(3, my_handle),
-            Step::Op {
-                prim: Primitive::Store,
-                addr: flag_mine,
-                operand: Operand::Const(1),
-                expected: Operand::Const(0),
+            Step::RegAdd {
+                dst: 3,
+                src: THREAD_REG,
+                k: 1,
             },
-            Step::Op {
-                prim: Primitive::Store,
-                addr: next_mine,
-                operand: Operand::Const(0),
-                expected: Operand::Const(0),
-            },
+            node(flag_base, THREAD_REG, Primitive::Store, Operand::Const(1)),
+            node(next_base, THREAD_REG, Primitive::Store, Operand::Const(0)),
             // 3: enqueue.
             Step::Op {
                 prim: Primitive::Swap,
@@ -566,19 +653,9 @@ pub mod builders {
                 src: 0,
                 k: -1,
             },
-            Step::OpIndexed {
-                prim: Primitive::Store,
-                base: next_base,
-                reg: 1,
-                stride: 128,
-                operand: Operand::Reg(3),
-                expected: Operand::Const(0),
-            },
+            node(next_base, 1, Primitive::Store, Operand::Reg(3)),
             // 8: spin on the OWN flag until the predecessor hands off.
-            Step::SpinWhile {
-                addr: flag_mine,
-                pred: SpinPred::WhileEq(Operand::Const(1)),
-            },
+            spin_own(flag_base, 1),
             // 9: critical section.
             Step::Work(cs.max(1)),
             // 10: release: no linked successor? try tail CAS back to 0.
@@ -588,48 +665,22 @@ pub mod builders {
                 operand: Operand::Const(0),
                 expected: Operand::Reg(3),
             },
-            Step::BranchIfSuccess(16),
+            Step::BranchIfSuccess(17),
             // 12: a successor is (or will be) linked: wait for it...
-            Step::SpinWhile {
-                addr: next_mine,
-                pred: SpinPred::WhileEq(Operand::Const(0)),
-            },
+            spin_own(next_base, 0),
             // 13: ...read its handle and clear its flag.
-            Step::Op {
-                prim: Primitive::Load,
-                addr: next_mine,
-                operand: Operand::Const(0),
-                expected: Operand::Const(0),
-            },
+            node(next_base, THREAD_REG, Primitive::Load, Operand::Const(0)),
             Step::SetRegFromPrev(2),
             Step::RegAdd {
                 dst: 2,
                 src: 2,
                 k: -1,
             },
-            // 16 is reached by BranchIfSuccess; place the noncs there and
-            // loop. (For the handoff path we fall through 16 after the
-            // indexed store below — see the Goto shuffle.)
-            Step::Work(noncs.max(1)), // 16
-            Step::Goto(0),            // 17
+            node(flag_base, 2, Primitive::Store, Operand::Const(0)),
+            // 17: non-critical section, then loop.
+            Step::Work(noncs.max(1)),
+            Step::Goto(0),
         ];
-        // The handoff store needs to sit between step 15 and the noncs;
-        // splice it in (keeping indices readable was getting silly).
-        let mut steps = steps;
-        steps.insert(
-            16,
-            Step::OpIndexed {
-                prim: Primitive::Store,
-                base: flag_base,
-                reg: 2,
-                stride: 128,
-                operand: Operand::Const(0),
-                expected: Operand::Const(0),
-            },
-        );
-        // After the insert: BranchIfSuccess(16) must target the noncs,
-        // which moved to 17.
-        steps[11] = Step::BranchIfSuccess(17);
         Program::new(steps).expect("mcs lock loop is well-formed")
     }
 
@@ -758,6 +809,7 @@ mod tests {
             assert!(!prog.is_empty());
         }
         let _ = op_loop(Primitive::Faa, addr(), 100);
+        let _ = thread_op_loop(Primitive::Cas, addr(), 128, 100);
         let _ = cas_increment_loop(addr(), 20, 0);
         let _ = tas_lock_loop(addr(), 50, 100);
         let _ = ttas_lock_loop(addr(), 50, 100);
@@ -812,6 +864,20 @@ mod tests {
             Step::Halt
         ])
         .is_err());
+        // SpinIndexed with bad index register.
+        assert_eq!(
+            Program::new(vec![
+                Step::SpinIndexed {
+                    base: addr(),
+                    reg: 9,
+                    stride: 128,
+                    pred: SpinPred::WhileBitSet,
+                },
+                Step::Halt
+            ])
+            .unwrap_err(),
+            ProgramError::RegisterOutOfRange { step: 0, reg: 9 }
+        );
         // All valid together.
         assert!(Program::new(vec![
             Step::RegAdd {
@@ -836,58 +902,155 @@ mod tests {
     #[test]
     fn mcs_builder_shape() {
         let p = mcs_lock_loop(
-            2,
             addr(),
             WordAddr::of_line(0x3_0000),
             WordAddr::of_line(0x4_0000),
             50,
             50,
         );
-        // Exactly one tail SWAP, one release CAS, two indexed stores
-        // (link + handoff).
-        let swaps = p
-            .steps()
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s,
-                    Step::Op {
-                        prim: Primitive::Swap,
-                        ..
-                    }
-                )
-            })
-            .count();
-        let cases = p
-            .steps()
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s,
-                    Step::Op {
-                        prim: Primitive::Cas,
-                        ..
-                    }
-                )
-            })
-            .count();
-        let indexed = p
-            .steps()
-            .iter()
-            .filter(|s| matches!(s, Step::OpIndexed { .. }))
-            .count();
-        assert_eq!((swaps, cases, indexed), (1, 1, 2));
+        // Exactly one tail SWAP, one release CAS, five node accesses
+        // (arm flag, arm link, link, read successor, handoff), two of
+        // them on another thread's node, and two spins on the own node.
+        let count = |f: fn(&Step) -> bool| p.steps().iter().filter(|s| f(s)).count();
+        let swaps = count(|s| {
+            matches!(
+                s,
+                Step::Op {
+                    prim: Primitive::Swap,
+                    ..
+                }
+            )
+        });
+        let cases = count(|s| {
+            matches!(
+                s,
+                Step::Op {
+                    prim: Primitive::Cas,
+                    ..
+                }
+            )
+        });
+        let indexed = count(|s| matches!(s, Step::OpIndexed { .. }));
+        let foreign = count(|s| matches!(s, Step::OpIndexed { reg, .. } if *reg != THREAD_REG));
+        let spins = count(|s| {
+            matches!(
+                s,
+                Step::SpinIndexed {
+                    reg: THREAD_REG,
+                    ..
+                }
+            )
+        });
+        assert_eq!((swaps, cases, indexed, foreign, spins), (1, 1, 5, 2, 2));
         // Thread 2's own flag sits two strides past the base.
         let flag_line = p.steps().iter().find_map(|s| match s {
-            Step::Op {
+            Step::OpIndexed {
                 prim: Primitive::Store,
-                addr,
                 operand: Operand::Const(1),
                 ..
-            } => Some(addr.line),
+            } => s.thread_word(2).map(|a| a.line),
             _ => None,
         });
         assert_eq!(flag_line, Some(crate::cache::LineId(0x3_0000 + 256)));
+    }
+
+    #[test]
+    fn thread_word_resolves_the_thread_index_only() {
+        let base = WordAddr {
+            line: crate::cache::LineId(0x1000),
+            word: 3,
+        };
+        let indexed = |reg| Step::OpIndexed {
+            prim: Primitive::Faa,
+            base,
+            reg,
+            stride: 128,
+            operand: Operand::Const(1),
+            expected: Operand::Const(0),
+        };
+        let own = WordAddr {
+            line: crate::cache::LineId(0x1000 + 5 * 128),
+            word: 3,
+        };
+        assert_eq!(indexed(THREAD_REG).thread_word(5), Some(own));
+        let spin = Step::SpinIndexed {
+            base,
+            reg: THREAD_REG,
+            stride: 128,
+            pred: SpinPred::WhileBitSet,
+        };
+        assert_eq!(spin.thread_word(5), Some(own));
+        // Another register's value is known only at run time.
+        assert_eq!(indexed(1).thread_word(5), None);
+        assert_eq!(Step::Work(3).thread_word(5), None);
+        let op = Step::Op {
+            prim: Primitive::Load,
+            addr: base,
+            operand: Operand::Const(0),
+            expected: Operand::Const(0),
+        };
+        assert_eq!(op.thread_word(5), Some(base));
+        // The one body resolves each thread to its own private line.
+        let p = thread_op_loop(Primitive::Cas, base, 128, 7);
+        let words: Vec<WordAddr> = (0..3)
+            .filter_map(|j| p.steps().iter().find_map(|s| s.thread_word(j)))
+            .collect();
+        assert_eq!(words, [0, 1, 2].map(|j| base.indexed(128, j)));
+    }
+
+    #[test]
+    fn every_write_of_the_thread_index_is_rejected() {
+        let writes = [
+            Step::SetRegFromPrev(THREAD_REG),
+            Step::SetRegConst(THREAD_REG, 1),
+            Step::RegAdd {
+                dst: THREAD_REG,
+                src: 0,
+                k: 1,
+            },
+        ];
+        for w in writes {
+            let steps = vec![op_at(addr()), w, Step::Goto(0)];
+            assert_eq!(
+                Program::new(steps).unwrap_err(),
+                ProgramError::WritesThreadReg { step: 1 },
+                "{w:?}"
+            );
+        }
+        // Reading it is fine, as a value, an index or a control source.
+        let reads = vec![
+            Step::RegAdd {
+                dst: 0,
+                src: THREAD_REG,
+                k: 1,
+            },
+            Step::BranchIfRegZero(THREAD_REG, 3),
+            Step::Op {
+                prim: Primitive::Store,
+                addr: addr(),
+                operand: Operand::Reg(THREAD_REG),
+                expected: Operand::Const(0),
+            },
+            Step::SpinIndexed {
+                base: addr(),
+                reg: THREAD_REG,
+                stride: 128,
+                pred: SpinPred::WhileNe(Operand::Reg(THREAD_REG)),
+            },
+            Step::Goto(0),
+        ];
+        assert!(Program::new(reads).is_ok());
+        let msg = ProgramError::WritesThreadReg { step: 1 }.to_string();
+        assert!(msg.contains("step 1") && msg.contains("r4"), "{msg}");
+    }
+
+    fn op_at(a: WordAddr) -> Step {
+        Step::Op {
+            prim: Primitive::Faa,
+            addr: a,
+            operand: Operand::Const(1),
+            expected: Operand::Const(0),
+        }
     }
 
     #[test]

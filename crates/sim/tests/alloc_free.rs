@@ -8,10 +8,10 @@
 //! allocates nothing and a cache holding one line holds a few hundred
 //! bytes.
 //!
-//! The program layer allocates per distinct thread body, not per
-//! thread: threads share one step list, so cloning a program allocates
-//! nothing, and compiling and analyzing a one-body workload costs the
-//! same allocations at any thread count.
+//! The program layer allocates per role, not per thread: the threads of
+//! a role share one step list, so cloning a program allocates nothing,
+//! and compiling and analyzing a workload costs the same allocations at
+//! any thread count, bodies that name the thread's own line included.
 //!
 //! The engine's state grows with its threads and with the (line, core)
 //! pairs its ops name, not with every line times every core, and a run
@@ -24,7 +24,7 @@
 use bounce_atomics::Primitive;
 use bounce_sim::cache::{LineId, LineState, SetAssocCache};
 use bounce_sim::{
-    analyze_workload, ArbitrationPolicy, CoherenceKind, Engine, Program, SimConfig, SimParams,
+    analyze_workload, ArbitrationPolicy, CoherenceKind, Engine, Program, SimConfig, SimParams, Step,
 };
 use bounce_topo::{presets, HwThreadId, MachineTopology, Placement};
 use bounce_workloads::{LockShape, Workload};
@@ -196,12 +196,43 @@ fn compile_and_analyze_allocs(workload: &Workload, n: usize) -> u64 {
 
 #[test]
 fn one_body_compiles_and_analyzes_in_constant_allocations() {
-    let small = compile_and_analyze_allocs(&HC_FAA, 2);
-    let large = compile_and_analyze_allocs(&HC_FAA, 288);
-    assert_eq!(
-        small, large,
-        "HC FAA: {small} allocations at n=2, {large} at n=288"
-    );
+    // HC shares one body; LC, the ReadScan reader and MCS share one
+    // body that names each thread's own line through the thread index.
+    let workloads = [
+        HC_FAA,
+        Workload::LowContention {
+            prim: Primitive::Faa,
+            work: 0,
+        },
+        Workload::ReadScan {
+            writers: 1,
+            writer_work: 2000,
+        },
+        Workload::LockHandoff {
+            shape: LockShape::Mcs,
+            cs: 100,
+            noncs: 200,
+        },
+    ];
+    for w in &workloads {
+        let small = compile_and_analyze_allocs(w, 2);
+        let large = compile_and_analyze_allocs(w, 288);
+        assert_eq!(
+            small,
+            large,
+            "{}: {small} allocations at n=2, {large} at n=288",
+            w.label()
+        );
+    }
+}
+
+#[test]
+fn program_and_step_sizes_hold() {
+    // Every thread holds a `Program` and every body its `Step`s: a
+    // program is one shared pointer to its steps, and the indexed steps
+    // fit the size of a step.
+    assert_eq!(size_of::<Program>(), 16);
+    assert_eq!(size_of::<Step>(), 64);
 }
 
 #[test]
@@ -387,7 +418,9 @@ fn ttas_lock_handoff() {
 
 #[test]
 fn mcs_lock_handoff() {
-    // MCS queue nodes are `OpIndexed` lines, which intern when issued.
+    // A thread's own MCS node lines resolve in `add_thread`; a
+    // predecessor's or successor's, indexed by a run-time register,
+    // intern when issued.
     let topo = presets::xeon_e5_2695_v4();
     let w = Workload::LockHandoff {
         shape: LockShape::Mcs,

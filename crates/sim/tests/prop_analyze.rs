@@ -4,18 +4,19 @@
 //! exactly what analyzing every program on its own reports.
 //!
 //! The reference below is the straightforward analyzer: the CFG passes
-//! on every program, then, for every `SpinWhile` of every program, a scan
-//! of every program's writes. The random
-//! workloads mix clones of one body, separately built equal bodies,
-//! bodies of one shape with other addresses, operands, constants,
-//! primitives, strides, spin predicates and `Work` counts (some also
-//! with one register or jump target changed), and distinct bodies; spins on
-//! written and on unwritten words, strided `OpIndexed` writes, and
-//! bodies with every kind of defect.
+//! on every program, then, for every spin of every program, a scan of
+//! every program's writes, with each thread-index (`r4`) address
+//! resolved for the thread that runs it. The random workloads mix
+//! clones of one body, separately built equal bodies, bodies of one
+//! shape with other addresses, operands, constants, primitives, strides,
+//! spin predicates and `Work` counts (some also with one register or
+//! jump target changed), and distinct bodies; spins on written and on
+//! unwritten words, strided `OpIndexed` writes, ops and spins indexed
+//! by the thread index, and bodies with every kind of defect.
 
 use bounce_atomics::Primitive;
 use bounce_sim::cache::{LineId, WordAddr};
-use bounce_sim::program::{builders, Operand, SpinPred, Step, NUM_REGS};
+use bounce_sim::program::{builders, Operand, SpinPred, Step, NUM_REGS, THREAD_REG};
 use bounce_sim::{analyze_workload, AnalysisError, Diagnostic, Program};
 use proptest::prelude::*;
 
@@ -35,15 +36,15 @@ mod reference {
         }
         for (i, p) in programs.iter().enumerate() {
             for (si, s) in p.steps().iter().enumerate() {
-                if let Step::SpinWhile { addr, .. } = s {
-                    let written = programs.iter().any(|q| program_writes_word(q, *addr));
+                if let Some(addr) = spin_word(s, i) {
+                    let written = programs
+                        .iter()
+                        .enumerate()
+                        .any(|(j, q)| program_writes_word(q, j, addr));
                     if !written {
                         out.push(Diagnostic {
                             thread: i,
-                            error: AnalysisError::SpinTargetNeverWritten {
-                                step: si,
-                                addr: *addr,
-                            },
+                            error: AnalysisError::SpinTargetNeverWritten { step: si, addr },
                         });
                     }
                 }
@@ -52,9 +53,45 @@ mod reference {
         out
     }
 
-    fn program_writes_word(p: &Program, addr: WordAddr) -> bool {
-        p.steps().iter().any(|s| match s {
+    /// Thread `thread`'s word of a step indexed by the thread index.
+    pub fn own_word(base: WordAddr, stride: u64, thread: usize) -> WordAddr {
+        WordAddr {
+            line: LineId(base.line.0.wrapping_add(stride.wrapping_mul(thread as u64))),
+            word: base.word,
+        }
+    }
+
+    /// The word a spin step observes when thread `thread` runs it, if
+    /// known before the run.
+    pub fn spin_word(s: &Step, thread: usize) -> Option<WordAddr> {
+        match *s {
+            Step::SpinWhile { addr, .. } => Some(addr),
+            Step::SpinIndexed {
+                base,
+                reg: THREAD_REG,
+                stride,
+                ..
+            } => Some(own_word(base, stride, thread)),
+            _ => None,
+        }
+    }
+
+    /// Whether program `p`, run by thread `thread`, can write `addr`.
+    fn program_writes_word(p: &Program, thread: usize, addr: WordAddr) -> bool {
+        p.steps().iter().any(|s| step_writes_word(s, thread, addr))
+    }
+
+    /// Whether step `s`, run by thread `thread`, can write `addr`.
+    pub fn step_writes_word(s: &Step, thread: usize, addr: WordAddr) -> bool {
+        match s {
             Step::Op { prim, addr: a, .. } => prim.needs_exclusive() && *a == addr,
+            Step::OpIndexed {
+                prim,
+                base,
+                reg: THREAD_REG,
+                stride,
+                ..
+            } => prim.needs_exclusive() && own_word(*base, *stride, thread) == addr,
             Step::OpIndexed {
                 prim, base, stride, ..
             } => {
@@ -65,7 +102,7 @@ mod reference {
                         || *stride > 0 && (addr.line.0 - base.line.0).is_multiple_of(*stride))
             }
             _ => false,
-        })
+        }
     }
 
     fn successors(steps: &[Step], i: usize) -> Vec<usize> {
@@ -91,14 +128,21 @@ mod reference {
     fn consumes_time(s: &Step) -> bool {
         matches!(
             s,
-            Step::Op { .. } | Step::OpIndexed { .. } | Step::Work(_) | Step::SpinWhile { .. }
+            Step::Op { .. }
+                | Step::OpIndexed { .. }
+                | Step::Work(_)
+                | Step::SpinWhile { .. }
+                | Step::SpinIndexed { .. }
         )
     }
 
     fn produces_outcome(s: &Step) -> bool {
         matches!(
             s,
-            Step::Op { .. } | Step::OpIndexed { .. } | Step::SpinWhile { .. }
+            Step::Op { .. }
+                | Step::OpIndexed { .. }
+                | Step::SpinWhile { .. }
+                | Step::SpinIndexed { .. }
         )
     }
 
@@ -112,7 +156,7 @@ mod reference {
 
     fn control_reads(s: &Step) -> Vec<u8> {
         match s {
-            Step::OpIndexed { reg, .. } => vec![*reg],
+            Step::OpIndexed { reg, .. } | Step::SpinIndexed { reg, .. } => vec![*reg],
             Step::BranchIfRegZero(r, _) => vec![*r],
             Step::RegAdd { src, .. } => vec![*src],
             _ => Vec::new(),
@@ -151,6 +195,8 @@ mod reference {
         let mut wr_in = vec![[true; NUM_REGS]; n];
         op_in[0] = false;
         wr_in[0] = [false; NUM_REGS];
+        // The thread index is assigned at entry.
+        wr_in[0][THREAD_REG as usize] = true;
         let transfer_op = |i: usize, v: bool| v || produces_outcome(&steps[i]);
         let transfer_wr = |i: usize, mut v: [bool; NUM_REGS]| {
             if let Some(r) = written_reg(&steps[i]) {
@@ -314,8 +360,23 @@ fn word(rng: &mut Rng) -> WordAddr {
     }
 }
 
+/// A register to read: any, the thread index included.
 fn reg(rng: &mut Rng) -> u8 {
     rng.below(NUM_REGS as u64) as u8
+}
+
+/// A register to write: any but the thread index.
+fn wreg(rng: &mut Rng) -> u8 {
+    rng.below(THREAD_REG as u64) as u8
+}
+
+/// An index register: the thread index half the time.
+fn index_reg(rng: &mut Rng) -> u8 {
+    if rng.below(2) == 0 {
+        THREAD_REG
+    } else {
+        reg(rng)
+    }
 }
 
 fn operand(rng: &mut Rng) -> Operand {
@@ -335,14 +396,27 @@ fn op(rng: &mut Rng) -> Step {
     }
 }
 
+fn pred(rng: &mut Rng) -> SpinPred {
+    match rng.below(3) {
+        0 => SpinPred::WhileBitSet,
+        1 => SpinPred::WhileNe(operand(rng)),
+        _ => SpinPred::WhileEq(operand(rng)),
+    }
+}
+
 fn spin(rng: &mut Rng) -> Step {
     Step::SpinWhile {
         addr: word(rng),
-        pred: match rng.below(3) {
-            0 => SpinPred::WhileBitSet,
-            1 => SpinPred::WhileNe(operand(rng)),
-            _ => SpinPred::WhileEq(operand(rng)),
-        },
+        pred: pred(rng),
+    }
+}
+
+fn spin_indexed(rng: &mut Rng, reg: u8) -> Step {
+    Step::SpinIndexed {
+        base: word(rng),
+        reg,
+        stride: rng.pick(&STRIDES),
+        pred: pred(rng),
     }
 }
 
@@ -363,24 +437,28 @@ fn work(rng: &mut Rng) -> Step {
 
 fn step(rng: &mut Rng, len: usize) -> Step {
     let target = |rng: &mut Rng| rng.below(len as u64) as usize;
-    match rng.below(14) {
+    match rng.below(16) {
         0 | 1 => op(rng),
         2 => work(rng),
-        3 => Step::SetRegFromPrev(reg(rng)),
-        4 => Step::SetRegConst(reg(rng), rng.below(3)),
+        3 => Step::SetRegFromPrev(wreg(rng)),
+        4 => Step::SetRegConst(wreg(rng), rng.below(3)),
         5 => Step::Goto(target(rng)),
         6 => Step::BranchIfFail(target(rng)),
         7 => Step::BranchIfSuccess(target(rng)),
         8 | 9 => spin(rng),
         10 => Step::RegAdd {
-            dst: reg(rng),
+            dst: wreg(rng),
             src: reg(rng),
             k: rng.below(3) as i64 - 1,
         },
         11 => Step::BranchIfRegZero(reg(rng), target(rng)),
-        12 => {
-            let r = reg(rng);
+        12 | 13 => {
+            let r = index_reg(rng);
             indexed(rng, r)
+        }
+        14 => {
+            let r = index_reg(rng);
+            spin_indexed(rng, r)
         }
         _ => Step::Halt,
     }
@@ -411,6 +489,7 @@ fn reshaped(rng: &mut Rng, p: &Program, drift: bool) -> Program {
         .map(|s| match *s {
             Step::Op { .. } => op(rng),
             Step::OpIndexed { reg, .. } => indexed(rng, reg),
+            Step::SpinIndexed { reg, .. } => spin_indexed(rng, reg),
             Step::SpinWhile { .. } => spin(rng),
             Step::Work(_) => work(rng),
             Step::SetRegConst(r, _) => Step::SetRegConst(r, rng.below(3)),
@@ -426,6 +505,7 @@ fn reshaped(rng: &mut Rng, p: &Program, drift: bool) -> Program {
     // A register or jump target other than `x`, out of `m`.
     let other = |rng: &mut Rng, x: usize, m: usize| (x + 1 + rng.below(m as u64 - 1) as usize) % m;
     let other_reg = |rng: &mut Rng, r: u8| other(rng, r as usize, NUM_REGS) as u8;
+    let other_wreg = |rng: &mut Rng, r: u8| other(rng, r as usize, THREAD_REG as usize) as u8;
     let shaped: Vec<usize> = (0..n)
         .filter(|&i| {
             !matches!(
@@ -438,10 +518,10 @@ fn reshaped(rng: &mut Rng, p: &Program, drift: bool) -> Program {
         let i = shaped[rng.below(shaped.len() as u64) as usize];
         let other_target = |rng: &mut Rng, t: usize| other(rng, t, n);
         steps[i] = match steps[i] {
-            Step::SetRegFromPrev(r) => Step::SetRegFromPrev(other_reg(rng, r)),
-            Step::SetRegConst(r, v) => Step::SetRegConst(other_reg(rng, r), v),
+            Step::SetRegFromPrev(r) => Step::SetRegFromPrev(other_wreg(rng, r)),
+            Step::SetRegConst(r, v) => Step::SetRegConst(other_wreg(rng, r), v),
             Step::RegAdd { dst, src, k } if rng.below(2) == 0 => Step::RegAdd {
-                dst: other_reg(rng, dst),
+                dst: other_wreg(rng, dst),
                 src,
                 k,
             },
@@ -453,6 +533,10 @@ fn reshaped(rng: &mut Rng, p: &Program, drift: bool) -> Program {
             Step::OpIndexed { reg: r, .. } => {
                 let r = other_reg(rng, r);
                 indexed(rng, r)
+            }
+            Step::SpinIndexed { reg: r, .. } => {
+                let r = other_reg(rng, r);
+                spin_indexed(rng, r)
             }
             Step::Goto(t) => Step::Goto(other_target(rng, t)),
             Step::BranchIfFail(t) => Step::BranchIfFail(other_target(rng, t)),
@@ -521,11 +605,66 @@ proptest! {
 fn generator_covers_defects_and_sharing() {
     let mut kinds = [false; 5];
     let (mut clean, mut shared_runs, mut indexed_cover) = (false, false, false);
-    let mut shape_runs = false;
+    let (mut shape_runs, mut own_cover, mut own_split) = (false, false, false);
     for seed in 0..2_000u64 {
         let programs = workload(seed);
         let refs: Vec<&Program> = programs.iter().collect();
         let diags = reference::analyze_workload(&refs);
+        // A thread-index spin step reported for one thread but not for
+        // another thread running an equal body.
+        let is_own_spin = |thread: usize, step: usize| {
+            matches!(
+                programs[thread].steps()[step],
+                Step::SpinIndexed {
+                    reg: THREAD_REG,
+                    ..
+                }
+            )
+        };
+        let dead: Vec<(usize, usize)> = diags
+            .iter()
+            .filter_map(|d| match d.error {
+                AnalysisError::SpinTargetNeverWritten { step, .. }
+                    if is_own_spin(d.thread, step) =>
+                {
+                    Some((d.thread, step))
+                }
+                _ => None,
+            })
+            .collect();
+        own_split |= dead.iter().any(|&(t, step)| {
+            (0..programs.len())
+                .any(|u| programs[u].steps() == programs[t].steps() && !dead.contains(&(u, step)))
+        });
+        // A spin word that only a thread-index write of another thread
+        // covers.
+        own_cover |= programs.iter().enumerate().any(|(t, p)| {
+            p.steps().iter().any(|s| {
+                let Some(addr) = reference::spin_word(s, t) else {
+                    return false;
+                };
+                let own = |w: &Step| {
+                    matches!(
+                        w,
+                        Step::OpIndexed {
+                            reg: THREAD_REG,
+                            ..
+                        }
+                    )
+                };
+                let by_own = programs.iter().enumerate().any(|(u, q)| {
+                    u != t
+                        && q.steps()
+                            .iter()
+                            .any(|w| own(w) && reference::step_writes_word(w, u, addr))
+                });
+                let by_other = programs
+                    .iter()
+                    .flat_map(|q| q.steps())
+                    .any(|w| !own(w) && reference::step_writes_word(w, 0, addr));
+                by_own && !by_other
+            })
+        });
         clean |= diags.is_empty();
         for d in &diags {
             let k = match d.error {
@@ -575,4 +714,12 @@ fn generator_covers_defects_and_sharing() {
     assert!(shared_runs, "no shared body generated");
     assert!(shape_runs, "no bodies of one shape generated");
     assert!(indexed_cover, "no spin covered only by a strided write");
+    assert!(
+        own_split,
+        "no thread-index spin dead for one thread of a body but not another"
+    );
+    assert!(
+        own_cover,
+        "no spin covered only by another thread's thread-index write"
+    );
 }

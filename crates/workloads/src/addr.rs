@@ -44,6 +44,13 @@ impl AddressMap {
         WordAddr::of_line(PRIVATE_BASE + STRIDE * i as u64)
     }
 
+    /// Bytes between consecutive threads' cells: thread `i`'s
+    /// [`private`](Self::private) and [`scan_conflict`](Self::scan_conflict)
+    /// lines sit `i` strides past thread 0's.
+    pub(crate) fn stride(&self) -> u64 {
+        STRIDE
+    }
+
     /// The lock word.
     pub fn lock(&self) -> WordAddr {
         WordAddr::of_line(LOCK_BASE)
@@ -123,5 +130,12 @@ mod tests {
         let a = m.private(0).line.0;
         let b = m.private(1).line.0;
         assert_eq!(b - a, 128, "padded spacing");
+        for i in [0, 1, 287] {
+            assert_eq!(m.private(0).indexed(m.stride(), i as u64), m.private(i));
+            assert_eq!(
+                m.scan_conflict(0).indexed(m.stride(), i as u64),
+                m.scan_conflict(i)
+            );
+        }
     }
 }

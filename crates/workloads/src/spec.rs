@@ -4,7 +4,7 @@
 use crate::addr::AddressMap;
 use bounce_atomics::Primitive;
 use bounce_core::Scenario;
-use bounce_sim::program::{builders, Operand, Program, Step};
+use bounce_sim::program::{builders, Operand, Program, Step, THREAD_REG};
 use bounce_topo::HwThreadId;
 
 // `LockShape` (the lock algorithm used by [`Workload::LockHandoff`]) now
@@ -175,48 +175,52 @@ impl Workload {
 
     /// Compile to one simulator program per thread index `0..n`.
     ///
-    /// A body that does not depend on the thread index is built once and
-    /// cloned, so those threads share one step list.
+    /// Each role's body is built once and cloned, so the threads of a
+    /// role share one step list. A body that names the thread's own
+    /// line (low contention, the ReadScan reader, MCS) indexes it by
+    /// [`THREAD_REG`], which the engine presets to the thread's index:
+    /// program `i` must be the `i`-th thread added. False sharing,
+    /// multi-line and Zipf bodies still differ per thread.
     pub fn sim_programs(&self, n: usize) -> Vec<Program> {
         let map = AddressMap;
         let shared = |body: Program| vec![body; n];
+        // The first `writers` threads run `writer`, the rest `reader`.
+        let split = |writers: usize, writer: Program, reader: Program| {
+            (0..n)
+                .map(|i| {
+                    if i < writers {
+                        writer.clone()
+                    } else {
+                        reader.clone()
+                    }
+                })
+                .collect()
+        };
         match *self {
             Workload::HighContention { prim } => shared(builders::op_loop(prim, map.shared(), 0)),
-            Workload::LowContention { prim, work } => (0..n)
-                .map(|i| builders::op_loop(prim, map.private(i), work))
-                .collect(),
+            Workload::LowContention { prim, work } => shared(builders::thread_op_loop(
+                prim,
+                map.private(0),
+                map.stride(),
+                work,
+            )),
             Workload::Diluted { prim, work } => shared(builders::op_loop(prim, map.shared(), work)),
             Workload::CasRetryLoop { window, work } => {
                 shared(builders::cas_increment_loop(map.shared(), window, work))
             }
-            Workload::MixedReadWrite { writers, prim } => {
-                let writer = builders::op_loop(prim, map.shared(), 0);
-                let reader = reader_loop(map);
-                (0..n)
-                    .map(|i| {
-                        if i < writers {
-                            writer.clone()
-                        } else {
-                            reader.clone()
-                        }
-                    })
-                    .collect()
-            }
+            Workload::MixedReadWrite { writers, prim } => split(
+                writers,
+                builders::op_loop(prim, map.shared(), 0),
+                reader_loop(map),
+            ),
             Workload::ReadScan {
                 writers,
                 writer_work,
-            } => {
-                let writer = builders::op_loop(Primitive::Faa, map.shared(), writer_work);
-                (0..n)
-                    .map(|i| {
-                        if i < writers {
-                            writer.clone()
-                        } else {
-                            scan_reader_loop(map, i)
-                        }
-                    })
-                    .collect()
-            }
+            } => split(
+                writers,
+                builders::op_loop(Primitive::Faa, map.shared(), writer_work),
+                scan_reader_loop(map),
+            ),
             Workload::LockHandoff { shape, cs, noncs } => match shape {
                 LockShape::Tas => shared(builders::tas_lock_loop(map.lock(), cs, noncs)),
                 LockShape::Ttas => shared(builders::ttas_lock_loop(map.lock(), cs, noncs)),
@@ -226,18 +230,13 @@ impl Workload {
                     cs,
                     noncs,
                 )),
-                LockShape::Mcs => (0..n)
-                    .map(|i| {
-                        builders::mcs_lock_loop(
-                            i,
-                            map.lock(),
-                            map.mcs_flag_base(),
-                            map.mcs_next_base(),
-                            cs,
-                            noncs,
-                        )
-                    })
-                    .collect(),
+                LockShape::Mcs => shared(builders::mcs_lock_loop(
+                    map.lock(),
+                    map.mcs_flag_base(),
+                    map.mcs_next_base(),
+                    cs,
+                    noncs,
+                )),
             },
             Workload::FalseSharing { prim } => (0..n)
                 .map(|i| {
@@ -358,17 +357,24 @@ fn reader_loop(map: AddressMap) -> Program {
 /// A reader that loads the shared word and then its private
 /// [`AddressMap::scan_conflict`] line (same L1 set), so that with a
 /// direct-mapped L1 the shared copy is evicted between reads and every
-/// shared load is a fresh directory transaction.
-fn scan_reader_loop(map: AddressMap, i: usize) -> Program {
-    let load = |addr| Step::Op {
-        prim: Primitive::Load,
-        addr,
-        operand: Operand::Const(0),
-        expected: Operand::Const(0),
-    };
+/// shared load is a fresh directory transaction. One body for every
+/// reader: the conflict load is indexed by the thread index.
+fn scan_reader_loop(map: AddressMap) -> Program {
     Program::new(vec![
-        load(map.shared()),
-        load(map.scan_conflict(i)),
+        Step::Op {
+            prim: Primitive::Load,
+            addr: map.shared(),
+            operand: Operand::Const(0),
+            expected: Operand::Const(0),
+        },
+        Step::OpIndexed {
+            prim: Primitive::Load,
+            base: map.scan_conflict(0),
+            reg: THREAD_REG,
+            stride: map.stride(),
+            operand: Operand::Const(0),
+            expected: Operand::Const(0),
+        },
         Step::Work(8),
         Step::Goto(0),
     ])
@@ -395,9 +401,9 @@ mod tests {
         };
         let progs = w.sim_programs(3);
         let mut lines = std::collections::HashSet::new();
-        for p in &progs {
+        for (i, p) in progs.iter().enumerate() {
             for s in p.steps() {
-                if let Step::Op { addr, .. } = s {
+                if let Some(addr) = s.thread_word(i) {
                     lines.insert(addr.line);
                 }
             }
@@ -603,14 +609,11 @@ mod tests {
         // Every scanner loads the shared line plus its own distinct
         // filler line, and that filler maps to the shared line's L1 set.
         let mut fillers = std::collections::HashSet::new();
-        for p in progs.iter().skip(1) {
+        for (i, p) in progs.iter().enumerate().skip(1) {
             let lines: Vec<_> = p
                 .steps()
                 .iter()
-                .filter_map(|s| match s {
-                    Step::Op { addr, .. } => Some(addr.line),
-                    _ => None,
-                })
+                .filter_map(|s| s.thread_word(i).map(|a| a.line))
                 .collect();
             assert_eq!(lines.len(), 2);
             assert_eq!(lines[0], map.shared().line);

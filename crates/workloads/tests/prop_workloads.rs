@@ -69,10 +69,12 @@ proptest! {
     /// shared lines for LC workloads of any size.
     #[test]
     fn private_lines_never_collide_with_shared(n in 1usize..288) {
-        let map = AddressMap;
-        let shared = map.shared().line;
-        for i in 0..n {
-            prop_assert_ne!(map.private(i).line, shared);
+        let w = Workload::LowContention { prim: Primitive::Faa, work: 0 };
+        let shared = AddressMap.shared().line;
+        for (i, p) in w.sim_programs(n).iter().enumerate() {
+            let lines: Vec<_> = p.steps().iter().filter_map(|s| s.thread_word(i)).collect();
+            prop_assert_eq!(lines.len(), 1);
+            prop_assert_ne!(lines[0].line, shared);
         }
     }
 
@@ -82,16 +84,15 @@ proptest! {
     fn mcs_node_lines_unique(n in 2usize..128) {
         let w = Workload::LockHandoff { shape: LockShape::Mcs, cs: 10, noncs: 10 };
         let programs = w.sim_programs(n);
-        // Collect the static "arm own flag" store target per thread.
+        // Collect the resolved "arm own flag" store target per thread.
         let mut flag_lines = std::collections::HashSet::new();
-        for p in &programs {
+        for (i, p) in programs.iter().enumerate() {
             let flag = p.steps().iter().find_map(|s| match s {
-                Step::Op {
+                Step::OpIndexed {
                     prim: Primitive::Store,
-                    addr,
                     operand: bounce_sim::program::Operand::Const(1),
                     ..
-                } => Some(addr.line),
+                } => s.thread_word(i).map(|a| a.line),
                 _ => None,
             });
             let flag = flag.expect("mcs program arms its flag");
