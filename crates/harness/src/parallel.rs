@@ -5,10 +5,13 @@
 //! Every sweep in this crate is embarrassingly parallel — each point
 //! builds its own [`Engine`](bounce_sim::Engine) from its own config, so
 //! points share no mutable state. The executor exploits that: a scoped
-//! worker pool pulls point indices from an atomic counter, and results
-//! are collected **by index**, so the output vector is identical to the
-//! serial one regardless of which worker finished first. Parallel output
-//! is byte-identical to `--jobs 1` output.
+//! worker pool pulls point indices from an atomic counter, and the
+//! worker that runs point `i` writes its result **into slot `i`** of one
+//! `n`-slot table, so the output vector is identical to the serial one
+//! regardless of which worker finished first. Parallel output is
+//! byte-identical to `--jobs 1` output. The table becomes the returned
+//! vector in place: a sweep holds one slot per point, never a second
+//! copy.
 //!
 //! A panic in one point does not abort the sweep: each point runs under
 //! [`std::panic::catch_unwind`], the remaining points finish, and the
@@ -27,6 +30,7 @@ use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Requested job count: 0 = auto (host parallelism), n>=1 = exactly n.
 static JOBS: AtomicUsize = AtomicUsize::new(0);
@@ -111,34 +115,45 @@ where
     if workers <= 1 || IN_POOL.with(|p| p.get()) {
         return (0..n).map(guarded).collect();
     }
+    let slots: Vec<Mutex<Option<Result<U, PointPanic>>>> =
+        (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, Result<U, PointPanic>)> = Vec::with_capacity(n);
+    // Workers only run `guarded`, which catches point panics, so the
+    // scope re-raises a worker's panic only if the pool machinery died.
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    IN_POOL.with(|p| p.set(true));
-                    let mut local: Vec<(usize, Result<U, PointPanic>)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, guarded(i)));
+        for _ in 0..workers {
+            s.spawn(|| {
+                IN_POOL.with(|p| p.set(true));
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
                     }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            // Workers only run `guarded`, which catches point panics; a
-            // join failure would mean the pool machinery itself died.
-            tagged.extend(h.join().expect("sweep worker infrastructure failed"));
+                    let result = guarded(i);
+                    *slots[i].lock().expect(UNPOISONED) = Some(result);
+                }
+            });
         }
     });
-    tagged.sort_by_key(|&(i, _)| i);
-    debug_assert_eq!(tagged.len(), n);
-    tagged.into_iter().map(|(_, u)| u).collect()
+    collect_exact(slots.into_iter().map(|slot| {
+        slot.into_inner()
+            .expect(UNPOISONED)
+            .expect("every point is claimed once")
+    }))
+}
+
+/// Why a result slot's lock is never poisoned: a worker takes it only to
+/// store a finished result, which cannot panic.
+const UNPOISONED: &str = "a slot is locked only to store a result";
+
+/// Collect `items` with no spare capacity. When `items` maps a vector's
+/// elements one to one, the standard library collects them in that
+/// vector's allocation, so no second table is made, and shrinking gives
+/// back the bytes that smaller elements leave over.
+fn collect_exact<T>(items: impl Iterator<Item = T>) -> Vec<T> {
+    let mut out: Vec<T> = items.collect();
+    out.shrink_to_fit();
+    out
 }
 
 /// Run `f(0..n)` with an explicit job count and return the results in
@@ -148,30 +163,21 @@ where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    let mut out = Vec::with_capacity(n);
-    let mut first_panic: Option<PointPanic> = None;
-    for r in par_run_result_jobs(n, jobs, f) {
-        match r {
-            Ok(u) => out.push(u),
-            Err(p) => {
-                first_panic.get_or_insert(p);
-            }
-        }
-    }
-    if let Some(p) = first_panic {
-        panic!("{p}");
-    }
-    out
+    let results = par_run_result_jobs(n, jobs, f);
+    collect_exact(
+        results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|p| panic!("{p}"))),
+    )
 }
 
 /// Run `f(0..n)` and return the results in index order.
 ///
 /// With `jobs() == 1`, inside an existing pool worker, or for a single
-/// point, this is a plain serial loop on the calling thread — exactly
-/// today's behaviour. Otherwise up to `jobs()` scoped workers claim
-/// indices from a shared counter; each worker keeps its results tagged
-/// with their index and the caller reassembles them in order, so the
-/// returned vector never depends on thread scheduling.
+/// point, this is a plain serial loop on the calling thread. Otherwise
+/// up to `jobs()` scoped workers claim indices from a shared counter and
+/// write each point's result into its own slot, so the returned vector
+/// never depends on thread scheduling.
 ///
 /// # Panics
 /// If a point panics, the panic is re-raised here — but only after every

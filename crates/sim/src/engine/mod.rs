@@ -48,7 +48,7 @@ use crate::program::{Program, SpinPred, Step, NUM_REGS, THREAD_REG};
 use crate::protocol::CoherenceKind;
 use crate::report::{EnergyBreakdown, RunLengthSummary, SimReport, ThreadReport};
 use bounce_atomics::{OpOutcome, Primitive};
-use bounce_topo::{HwThreadId, MachineTopology, TileId};
+use bounce_topo::{Domain, HwThreadId, MachineTopology, TileId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -195,10 +195,17 @@ struct ThreadSt {
 /// assert!(eng.word(line) >= report.total_ops());
 /// ```
 pub struct Engine<P: Probe = NoProbe> {
-    topo: MachineTopology,
+    /// Each hardware thread's core, by hardware thread index; its length
+    /// is the machine's thread count. With `cores`, `freq_ghz`, the tile
+    /// matrices and the directory's home tiles, this is all the engine
+    /// keeps of its machine: no copy of the topology.
+    thread_cores: Box<[u32]>,
+    /// Each core's tile and socket, by core index.
+    cores: Box<[(u32, u32)]>,
+    /// Clock rate, converting the measurement window to seconds.
+    freq_ghz: f64,
     cfg: SimConfig,
     now: u64,
-    n_cores: usize,
     n_tiles: usize,
     /// Line-state transition policy tag (`cfg.params.protocol`).
     /// Stateless, enum-dispatched to the concrete protocol via
@@ -308,8 +315,7 @@ impl<P: Probe> Engine<P> {
             .validate()
             .unwrap_or_else(|e| panic!("invalid simulation parameters: {e}"));
         topo.validate().expect("invalid topology");
-        let n_cores = topo.num_cores();
-        let caches = (0..n_cores)
+        let caches = (0..topo.num_cores())
             .map(|_| SetAssocCache::new(cfg.params.l1_sets, cfg.params.l1_ways))
             .collect();
         let dir = Directory::new(topo, cfg.params.home_policy, cfg.params.seed);
@@ -346,9 +352,14 @@ impl<P: Probe> Engine<P> {
             Vec::new()
         };
         Engine {
-            topo: topo.clone(),
+            thread_cores: topo.threads.iter().map(|t| t.core.0 as u32).collect(),
+            cores: topo
+                .cores
+                .iter()
+                .map(|c| (c.tile.0 as u32, c.socket.0 as u32))
+                .collect(),
+            freq_ghz: topo.freq_ghz,
             now: 0,
-            n_cores,
             n_tiles: nt,
             protocol: cfg.params.protocol,
             events: CalendarQueue::new(),
@@ -453,12 +464,12 @@ impl<P: Probe> Engine<P> {
     /// # Panics
     /// Panics if `hw` is out of range or already occupied.
     pub fn add_thread(&mut self, hw: HwThreadId, program: Program) {
-        assert!(hw.0 < self.topo.num_threads(), "hw thread out of range");
+        assert!(hw.0 < self.thread_cores.len(), "hw thread out of range");
         assert!(
             !std::mem::replace(&mut self.occupied[hw.0], true),
             "hardware thread {hw:?} already occupied"
         );
-        let core = self.topo.threads[hw.0].core.0;
+        let core = self.thread_cores[hw.0] as usize;
         let index = self.threads.len();
         // Intern every line the program names up front and keep each
         // fixed line's index and (line, core) pair by pc, so issuing an
@@ -563,7 +574,24 @@ impl<P: Probe> Engine<P> {
 
     #[inline]
     fn tile_of_core(&self, core: usize) -> TileId {
-        self.topo.cores[core].tile
+        TileId(self.cores[core].0 as usize)
+    }
+
+    /// The domain a line crosses between a thread of core `a` and
+    /// another thread of core `b`: [`MachineTopology::comm_domain`] of
+    /// any two distinct hardware threads on them, read from the engine's
+    /// own tables.
+    fn core_domain(&self, a: usize, b: usize) -> Domain {
+        let ((tile_a, socket_a), (tile_b, socket_b)) = (self.cores[a], self.cores[b]);
+        if a == b {
+            Domain::SmtSibling
+        } else if tile_a == tile_b {
+            Domain::SameTile
+        } else if socket_a == socket_b {
+            Domain::SameSocket
+        } else {
+            Domain::CrossSocket
+        }
     }
 
     #[inline]
@@ -668,7 +696,7 @@ impl<P: Probe> Engine<P> {
                 &self.cfg.params.faults,
                 self.cfg.params.seed,
                 self.threads.len(),
-                self.n_cores,
+                self.cores.len(),
             ));
         }
         if self.cfg.params.fabric.enabled() {

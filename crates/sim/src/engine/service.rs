@@ -177,7 +177,7 @@ impl<P: Probe> Engine<P> {
     /// state does, MESI(F) dissolves it into the sharer set).
     #[expect(clippy::disallowed_methods, reason = "probe-instrumented helper")]
     fn depart_line(&mut self, idx: u32, req: &Request) -> Option<(usize, Domain)> {
-        let (tid, core) = (req.thread as usize, req.core as usize);
+        let core = req.core as usize;
         let mut bounce = None;
         let line = self.dir.line_at(idx);
         let owner = self.dir.get_at(idx).owner;
@@ -185,9 +185,7 @@ impl<P: Probe> Engine<P> {
             if let Some(o) = owner {
                 if o != core {
                     // Record the bounce (ownership transfer between cores).
-                    let d = self
-                        .topo
-                        .comm_domain(self.threads[tid].hw, self.topo.cores[o].threads[0]);
+                    let d = self.core_domain(core, o);
                     self.transfers_by_domain[d.index()] += 1;
                     bounce = Some((o, d));
                     self.caches[o].invalidate(line);

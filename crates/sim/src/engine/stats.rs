@@ -17,7 +17,7 @@ impl<P: Probe> Engine<P> {
         // for fixed-length runs (even if events ran out earlier — the
         // historical convention), or at the early-stop batch boundary.
         let window = run.ended_at_cycles.saturating_sub(self.cfg.warmup_cycles);
-        let window_secs = window as f64 / (self.topo.freq_ghz * 1e9);
+        let window_secs = window as f64 / (self.freq_ghz * 1e9);
         // Static energy: active cores × window.
         let active_cores: std::collections::BTreeSet<usize> =
             self.threads.iter().map(|t| t.core).collect();
@@ -39,7 +39,7 @@ impl<P: Probe> Engine<P> {
         SimReport {
             duration_cycles: run.budget_cycles,
             window_cycles: window,
-            freq_ghz: self.topo.freq_ghz,
+            freq_ghz: self.freq_ghz,
             threads,
             transfers_by_domain: self.transfers_by_domain,
             invalidations: self.invalidations,
@@ -74,7 +74,7 @@ impl<P: Probe> Engine<P> {
         SimReport {
             duration_cycles: 0,
             window_cycles: 0,
-            freq_ghz: self.topo.freq_ghz,
+            freq_ghz: self.freq_ghz,
             threads: self.zeroed_reports(),
             transfers_by_domain: [0; 5],
             invalidations: 0,

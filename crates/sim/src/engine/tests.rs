@@ -53,6 +53,27 @@ fn thread_reports_stay_small() {
 }
 
 #[test]
+fn engine_domains_match_the_topology() {
+    // `transfers_by_domain` counts the domains the engine derives from
+    // its own tables. A line never moves from a thread to itself, so
+    // every pair of distinct hardware threads is checked.
+    for topo in [presets::xeon_e5_2695_v4(), presets::xeon_phi_7290(), tiny()] {
+        let eng = Engine::new(&topo, cfg(1));
+        let core = |t: usize| eng.thread_cores[t] as usize;
+        for a in 0..topo.num_threads() {
+            for b in (0..topo.num_threads()).filter(|&b| b != a) {
+                assert_eq!(
+                    eng.core_domain(core(a), core(b)),
+                    topo.comm_domain(HwThreadId(a), HwThreadId(b)),
+                    "threads {a} and {b} on {}",
+                    topo.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn single_thread_faa_accumulates() {
     let topo = tiny();
     let mut eng = Engine::new(&topo, cfg(200_000));

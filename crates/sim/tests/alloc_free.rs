@@ -19,7 +19,9 @@
 //! inline only the histogram buckets a run can fill, and the reports
 //! are built in one exact-size table when the run starts, when the
 //! tables that `add_thread` grew by doubling give up their slack. Live
-//! bytes are counted beside allocations to check these.
+//! bytes are counted beside allocations to check these. Construction
+//! allocates per engine, not per topology: the engine keeps the few
+//! tables it reads of the machine, not a copy of it.
 
 use bounce_atomics::Primitive;
 use bounce_sim::cache::{LineId, LineState, SetAssocCache};
@@ -302,6 +304,39 @@ fn every_core_holding_the_line_holds_only_its_set() {
         "HC FAA on KNL at n={n} under FIFO: the engine and its report hold {} KiB after the run",
         held >> 10
     );
+}
+
+/// Allocations made and live bytes held by `Engine::new` on `topo`
+/// plus `n` threads of HC FAA.
+fn construction(topo: &MachineTopology, params: SimParams, n: usize) -> (u64, i64) {
+    let threads = placed(topo, &HC_FAA, n);
+    let (allocs, live) = (ALLOCS.with(Cell::get), LIVE.with(Cell::get));
+    let mut eng = Engine::new(topo, SimConfig::new(params, 200_000));
+    for (h, program) in &threads {
+        eng.add_thread(*h, program.clone());
+    }
+    let made = (ALLOCS.with(Cell::get) - allocs, LIVE.with(Cell::get) - live);
+    drop(eng);
+    made
+}
+
+#[test]
+fn construction_allocates_per_engine_not_per_topology() {
+    // The engine keeps each hardware thread's core and each core's tile
+    // and socket, not a copy of the topology. The copy made 83 of
+    // `Engine::new`'s 93 allocations on E5 and 117 of 127 on KNL, where
+    // the engine held 47.4 KiB.
+    let (e5, knl) = (presets::xeon_e5_2695_v4(), presets::xeon_phi_7290());
+    for n in [0, 2] {
+        let (on_e5, _) = construction(&e5, SimParams::e5(), n);
+        let (on_knl, _) = construction(&knl, SimParams::knl(), n);
+        assert_eq!(
+            on_e5, on_knl,
+            "n={n}: construction made {on_e5} allocations on E5, {on_knl} on KNL"
+        );
+    }
+    let (_, held) = construction(&knl, SimParams::knl(), 0);
+    assert!(held < 36 << 10, "Engine::new on KNL holds {held} B");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! threads sit. The paper's placement experiment compares pinnings; these
 //! policies reproduce the standard ones.
 
-use crate::machine::{HwThreadId, MachineTopology};
+use crate::machine::{HwThreadId, MachineTopology, SocketId};
 
 /// A policy mapping "run N threads" onto concrete hardware threads.
 ///
@@ -59,7 +59,8 @@ impl Placement {
     }
 
     /// Choose the hardware threads that `n` software threads are pinned
-    /// to, in assignment order.
+    /// to, in assignment order: the first `n` of [`Placement::full_order`],
+    /// built directly into a vector of capacity exactly `n`.
     ///
     /// # Panics
     /// Panics if `n` exceeds the machine's hardware-thread count.
@@ -69,59 +70,52 @@ impl Placement {
             "cannot place {n} threads on {} hardware threads",
             topo.num_threads()
         );
-        let order = self.full_order(topo);
-        order.into_iter().take(n).collect()
+        let mut out = Vec::with_capacity(n);
+        match self {
+            Placement::Linear => out.extend((0..n).map(HwThreadId)),
+            Placement::SmtFirst => {
+                // Socket-major, core-major, SMT-minor == iterate cores in
+                // id order and emit each core's threads together.
+                let order = topo.cores.iter().flat_map(|c| c.threads.iter().copied());
+                out.extend(order.take(n));
+            }
+            // SMT level 0 of every core (socket-major), then level 1, …
+            Placement::Packed => out.extend(smt_level_major(topo, None).take(n)),
+            Placement::Scattered => {
+                // Round-robin sockets, each in its packed order.
+                let mut per_socket: Vec<_> = (0..topo.num_sockets())
+                    .map(|s| smt_level_major(topo, Some(SocketId(s))))
+                    .collect();
+                while out.len() < n {
+                    for q in &mut per_socket {
+                        if out.len() < n {
+                            out.extend(q.next());
+                        }
+                    }
+                }
+            }
+        }
+        out
     }
 
     /// The complete assignment order over every hardware thread.
     pub fn full_order(&self, topo: &MachineTopology) -> Vec<HwThreadId> {
-        match self {
-            Placement::Linear => (0..topo.num_threads()).map(HwThreadId).collect(),
-            Placement::SmtFirst => {
-                // Socket-major, core-major, SMT-minor == iterate cores in
-                // id order and emit each core's threads together.
-                let mut out = Vec::with_capacity(topo.num_threads());
-                for core in &topo.cores {
-                    out.extend(core.threads.iter().copied());
-                }
-                out
-            }
-            Placement::Packed => {
-                // SMT level 0 of every core (socket-major), then level 1, …
-                let mut out = Vec::with_capacity(topo.num_threads());
-                for smt in 0..topo.smt_ways() {
-                    for core in &topo.cores {
-                        if let Some(&t) = core.threads.get(smt) {
-                            out.push(t);
-                        }
-                    }
-                }
-                out
-            }
-            Placement::Scattered => {
-                // Round-robin sockets at each SMT level.
-                let mut per_socket: Vec<Vec<HwThreadId>> = vec![Vec::new(); topo.num_sockets()];
-                for smt in 0..topo.smt_ways() {
-                    for core in &topo.cores {
-                        if let Some(&t) = core.threads.get(smt) {
-                            per_socket[core.socket.0].push(t);
-                        }
-                    }
-                }
-                let mut out = Vec::with_capacity(topo.num_threads());
-                let mut idx = vec![0usize; per_socket.len()];
-                while out.len() < topo.num_threads() {
-                    for (s, q) in per_socket.iter().enumerate() {
-                        if idx[s] < q.len() {
-                            out.push(q[idx[s]]);
-                            idx[s] += 1;
-                        }
-                    }
-                }
-                out
-            }
-        }
+        self.assign(topo, topo.num_threads())
     }
+}
+
+/// The hardware threads of `topo` (of one socket, if given) at SMT
+/// level 0 of every core in id order, then at level 1, …
+fn smt_level_major(
+    topo: &MachineTopology,
+    socket: Option<SocketId>,
+) -> impl Iterator<Item = HwThreadId> + '_ {
+    (0..topo.smt_ways()).flat_map(move |smt| {
+        topo.cores
+            .iter()
+            .filter(move |c| socket.is_none_or(|s| c.socket == s))
+            .filter_map(move |c| c.threads.get(smt).copied())
+    })
 }
 
 /// A placement's full assignment order, precomputed once, with cheap
@@ -173,7 +167,7 @@ impl PlacementOrder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets::{dual_socket_small, tiny_test_machine, xeon_e5_2695_v4};
+    use crate::presets::{dual_socket_small, tiny_test_machine, xeon_e5_2695_v4, xeon_phi_7290};
     use std::collections::BTreeSet;
 
     #[test]
@@ -231,6 +225,62 @@ mod tests {
             let full = p.full_order(&topo);
             for n in 0..=topo.num_threads() {
                 assert_eq!(&p.assign(&topo, n)[..], &full[..n]);
+            }
+        }
+    }
+
+    #[test]
+    fn orders_follow_their_definitions() {
+        // Each policy's order as a sort key over the hardware threads: a
+        // reference that does not walk the topology as `assign` does.
+        for topo in [
+            tiny_test_machine(),
+            dual_socket_small(),
+            xeon_e5_2695_v4(),
+            xeon_phi_7290(),
+        ] {
+            let place = |t: HwThreadId| {
+                let core = topo.core_of(t);
+                let peers = topo.cores.iter().filter(|c| c.socket == core.socket);
+                let in_socket = peers.filter(|c| c.id < core.id).count();
+                (topo.threads[t.0].smt_index as usize, core, in_socket)
+            };
+            for p in Placement::ALL {
+                let mut reference: Vec<_> = (0..topo.num_threads()).map(HwThreadId).collect();
+                reference.sort_by_key(|&t| {
+                    let (smt, core, in_socket) = place(t);
+                    match p {
+                        Placement::Linear => (t.0, 0, 0),
+                        Placement::SmtFirst => (core.id.0, smt, 0),
+                        Placement::Packed => (smt, core.id.0, 0),
+                        Placement::Scattered => (smt, in_socket, core.socket.0),
+                    }
+                });
+                let order = p.full_order(&topo);
+                assert_eq!(order, reference, "{} on {}", p.label(), topo.name);
+            }
+        }
+    }
+
+    #[test]
+    fn assign_holds_exactly_n_threads() {
+        // Sweeps keep one placement per point for the whole run: a
+        // KNL n = 1 point must not hold 288 slots.
+        for topo in [xeon_e5_2695_v4(), xeon_phi_7290()] {
+            let all = topo.num_threads();
+            for p in Placement::ALL {
+                let full = p.full_order(&topo);
+                for n in [0, 1, all / 2, all] {
+                    let assigned = p.assign(&topo, n);
+                    assert_eq!(&assigned[..], &full[..n], "{} n={n}", p.label());
+                    assert_eq!(
+                        assigned.capacity(),
+                        n,
+                        "{} n={n} on {}",
+                        p.label(),
+                        topo.name
+                    );
+                }
             }
         }
     }

@@ -21,13 +21,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every placement's assignment of any n is a prefix of a
-    /// permutation of all hardware threads.
+    /// permutation of all hardware threads, held in exactly n slots.
     #[test]
     fn placements_are_permutation_prefixes(topo in machine_strategy(), frac in 0.0f64..=1.0) {
         let n = ((topo.num_threads() as f64 * frac) as usize).clamp(0, topo.num_threads());
         for p in Placement::ALL {
             let assigned = p.assign(&topo, n);
             prop_assert_eq!(assigned.len(), n);
+            prop_assert_eq!(assigned.capacity(), n, "{} holds spare slots", p.label());
             let set: std::collections::BTreeSet<_> = assigned.iter().collect();
             prop_assert_eq!(set.len(), n, "{} duplicated threads", p.label());
             for t in &assigned {
