@@ -52,7 +52,11 @@ examples:
 # `seconds`-long runs of `workload` (`all` runs the four), alternating
 # which side runs first. Prints, for each end-to-end metric in
 # BENCHMARK.json, both sides' medians with quartiles, change / base, and
-# the pairs the change wins, ties counted apart. `base` is checked out
+# the pairs the change wins, ties counted apart. Each side's median
+# repetitions per run are printed too, and a workload whose two medians
+# fall on opposite sides of a power of two is flagged: perfbench keeps
+# one `Rep` per repetition in a `Vec` that doubles there, which moves
+# `peak_heap_mb` with no change in what the program holds. `base` is checked out
 # in a git worktree under a temporary directory, which holds the two
 # builds and the runs' JSON and is removed on exit.
 perfbench-pairs base workload pairs="10" seconds="20":
@@ -78,7 +82,7 @@ perfbench-pairs base workload pairs="10" seconds="20":
         done
     done
     python3 - "$tmp" "{{pairs}}" <<'EOF'
-    import json, sys
+    import json, math, sys
     tmp, pairs = sys.argv[1], int(sys.argv[2])
     e2e = json.load(open("BENCHMARK.json"))["end_to_end"]
     sides = ("base", "change")
@@ -97,15 +101,28 @@ perfbench-pairs base workload pairs="10" seconds="20":
             return xs[lo] + (xs[hi] - xs[lo]) * (k - lo)
         return at(0.5), at(0.25), at(0.75)
 
+    def slots(reps):
+        # The capacity of a `Vec` pushed `reps` times: 4, then doubling.
+        return max(4, 1 << (math.ceil(reps) - 1).bit_length())
+
     failed = 0
     for w in runs["base"][0]:
+        medians = {}
         for s in sides:
             reps = [r[w]["timed_reps"] for r in runs[s]]
+            medians[s] = quartiles(reps)[0]
             digests = sorted({r[w]["digest"] for r in runs[s]})
             fails = sum(len(r[w]["failures"]) for r in runs[s])
             failed += fails
             print(f"{w} {s}: {min(reps)}-{max(reps)} repetitions per run, "
-                  f"digests {', '.join(digests)}, {fails} failed points")
+                  f"median {medians[s]:g}, digests {', '.join(digests)}, "
+                  f"{fails} failed points")
+        (b, c) = (slots(medians["base"]), slots(medians["change"]))
+        if b != c:
+            print(f"{w}: FLAG: the median runs keep {medians['base']:g} and "
+                  f"{medians['change']:g} repetitions, either side of "
+                  f"{min(b, c)}; Vec<Rep> holds {b} slots at the base and "
+                  f"{c} with the change, so peak_heap_mb moves by that alone")
     print()
     print("| workload | metric | base median [q1, q3] | change median [q1, q3] "
           "| change / base | change wins | gap > base IQR |")

@@ -109,7 +109,9 @@ struct Landed {
 /// A set gets storage when a line first lands in it: its ways join the
 /// list of landed sets, and a per-set index of 2 B entries points into
 /// that list. A new cache allocates nothing, and until its first install
-/// every line reads Invalid.
+/// every line reads Invalid. The landed list and each set's ways start
+/// at one slot, since a core often holds a single line, and grow by
+/// doubling from there.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     /// Each set's position in `landed`. Built when a second set lands:
@@ -199,6 +201,9 @@ impl SetAssocCache {
             if let Some(entry) = self.index.get_mut(set) {
                 *entry = u16::try_from(pos).expect("at most MAX_SETS sets land");
             }
+            if pos == 0 {
+                self.landed.reserve_exact(1);
+            }
             self.landed.push(Landed {
                 set: u16::try_from(set).expect("at most MAX_SETS sets"),
                 ways: Vec::new(),
@@ -221,6 +226,9 @@ impl SetAssocCache {
             return None;
         }
         if set.len() < ways {
+            if set.is_empty() {
+                set.reserve_exact(1);
+            }
             set.push(Way {
                 tag: line,
                 state,

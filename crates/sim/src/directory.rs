@@ -33,11 +33,12 @@ pub struct Request {
 /// A set of core ids, kept as a bitset: bit `c % 64` of word `c / 64`
 /// is core `c`.
 ///
-/// The words grow to cover the highest core ever inserted and never
-/// shrink, so once a line has seen its sharers, inserting, removing and
-/// clearing allocate nothing. Iteration is in ascending core order,
-/// which the engine's energy sums and fabric-jitter draws follow, and
-/// `Debug` prints the members like a set (`{1, 5}`).
+/// The words grow to cover the highest core ever inserted, `c / 64 + 1`
+/// of them for core `c` and no more, and never shrink, so once a line
+/// has seen its sharers, inserting, removing and clearing allocate
+/// nothing. Iteration is in ascending core order, which the engine's
+/// energy sums and fabric-jitter draws follow, and `Debug` prints the
+/// members like a set (`{1, 5}`).
 #[derive(Default)]
 pub struct CoreSet {
     words: Vec<u64>,
@@ -49,6 +50,7 @@ impl CoreSet {
     pub fn insert(&mut self, core: usize) -> bool {
         let (w, bit) = (core / 64, 1u64 << (core % 64));
         if w >= self.words.len() {
+            self.words.reserve_exact(w + 1 - self.words.len());
             self.words.resize(w + 1, 0);
         }
         let absent = self.words[w] & bit == 0;
@@ -166,10 +168,16 @@ impl LineDir {
         self.queued_excl > 0
     }
 
-    /// Append an arriving request to the queue.
+    /// Append an arriving request to the queue. The first one gets
+    /// exactly one slot: most lines (a thread's private line, a lock's
+    /// uncontended node) never queue a second request, and a queue
+    /// that does grows by doubling from there.
     #[inline]
     pub fn enqueue(&mut self, req: Request) {
         self.queued_excl += req.excl as u32;
+        if self.queue.capacity() == 0 {
+            self.queue.reserve_exact(1);
+        }
         self.queue.push_back(req);
     }
 

@@ -4,8 +4,8 @@
 //! consults the coherence-protocol policy — a hit's legality depends
 //! only on the local line state.
 
-use super::{CurOp, Engine, Ev, Status, MAX_STEPS_PER_RESUME, NO_LINE};
-use crate::cache::{LineState, WordAddr};
+use super::{CurOp, Engine, Ev, Status, MAX_STEPS_PER_RESUME, NO_LINE, NO_THREAD};
+use crate::cache::{LineId, LineState, WordAddr};
 use crate::directory::Request;
 use crate::probe::{Probe, Transition};
 use crate::program::{resolve, SpinPred, Step};
@@ -39,7 +39,7 @@ impl<P: Probe> Engine<P> {
                 return;
             }
             let pc = self.threads[tid].pc;
-            let step = match self.threads[tid].program.step(pc) {
+            let step = match self.threads[tid].program.step(pc as usize) {
                 Some(s) => *s,
                 None => {
                     self.threads[tid].status = Status::Halted;
@@ -49,7 +49,7 @@ impl<P: Probe> Engine<P> {
             match step {
                 Step::Work(k) => {
                     self.threads[tid].pc = pc + 1;
-                    let core = self.threads[tid].core;
+                    let core = self.threads[tid].core as usize;
                     let k = match self.faults.as_ref() {
                         Some(fs) => fs.scale_work(core, k),
                         None => k,
@@ -61,7 +61,7 @@ impl<P: Probe> Engine<P> {
                 Step::SetRegFromPrev(r) => {
                     let prev = self.threads[tid]
                         .cur_op
-                        .and_then(|o| o.outcome)
+                        .and_then(|o| o.outcome())
                         .map(|o| o.prev)
                         .unwrap_or(0);
                     self.threads[tid].regs[r as usize] = prev;
@@ -71,7 +71,7 @@ impl<P: Probe> Engine<P> {
                     self.threads[tid].regs[r as usize] = v;
                     self.threads[tid].pc = pc + 1;
                 }
-                Step::Goto(t) => self.threads[tid].pc = t,
+                Step::Goto(t) => self.threads[tid].pc = t as u32,
                 Step::RegAdd { dst, src, k } => {
                     let v = self.threads[tid].regs[src as usize];
                     self.threads[tid].regs[dst as usize] = v.wrapping_add_signed(k);
@@ -79,7 +79,7 @@ impl<P: Probe> Engine<P> {
                 }
                 Step::BranchIfRegZero(r, t) => {
                     self.threads[tid].pc = if self.threads[tid].regs[r as usize] == 0 {
-                        t
+                        t as u32
                     } else {
                         pc + 1
                     };
@@ -88,12 +88,12 @@ impl<P: Probe> Engine<P> {
                     self.threads[tid].pc = if self.threads[tid].last_success {
                         pc + 1
                     } else {
-                        t
+                        t as u32
                     };
                 }
                 Step::BranchIfSuccess(t) => {
                     self.threads[tid].pc = if self.threads[tid].last_success {
-                        t
+                        t as u32
                     } else {
                         pc + 1
                     };
@@ -109,10 +109,9 @@ impl<P: Probe> Engine<P> {
                     expected,
                 } => {
                     let t = &self.threads[tid];
-                    let operand = resolve(operand, &t.regs);
-                    let expected = resolve(expected, &t.regs);
-                    let op = CurOp::new(prim, addr, t.lines[pc], operand, expected, self.now);
-                    self.issue_op(tid, op);
+                    let values = (resolve(operand, &t.regs), resolve(expected, &t.regs));
+                    let op = CurOp::new(prim, addr, t.lines[pc as usize], values, false, self.now);
+                    self.issue_op(tid, addr.line, op);
                     return;
                 }
                 Step::OpIndexed {
@@ -125,38 +124,34 @@ impl<P: Probe> Engine<P> {
                 } => {
                     let t = &self.threads[tid];
                     let addr = base.indexed(stride, t.regs[reg as usize]);
-                    let line = t.lines[pc];
-                    let operand = resolve(operand, &t.regs);
-                    let expected = resolve(expected, &t.regs);
+                    let line = t.lines[pc as usize];
+                    let values = (resolve(operand, &t.regs), resolve(expected, &t.regs));
                     let line = if line == NO_LINE {
                         self.intern_issued(tid, addr)
                     } else {
                         line
                     };
-                    let op = CurOp::new(prim, addr, line, operand, expected, self.now);
-                    self.issue_op(tid, op);
+                    let op = CurOp::new(prim, addr, line, values, false, self.now);
+                    self.issue_op(tid, addr.line, op);
                     return;
                 }
-                Step::SpinWhile { addr, pred } => {
-                    let line = self.threads[tid].lines[pc];
-                    self.issue_spin(tid, addr, line, pred);
+                Step::SpinWhile { addr, .. } => {
+                    let line = self.threads[tid].lines[pc as usize];
+                    self.issue_spin(tid, addr, line);
                     return;
                 }
                 Step::SpinIndexed {
-                    base,
-                    reg,
-                    stride,
-                    pred,
+                    base, reg, stride, ..
                 } => {
                     let t = &self.threads[tid];
                     let addr = base.indexed(stride, t.regs[reg as usize]);
-                    let line = t.lines[pc];
+                    let line = t.lines[pc as usize];
                     let line = if line == NO_LINE {
                         self.intern_issued(tid, addr)
                     } else {
                         line
                     };
-                    self.issue_spin(tid, addr, line, pred);
+                    self.issue_spin(tid, addr, line);
                     return;
                 }
             }
@@ -172,30 +167,27 @@ impl<P: Probe> Engine<P> {
     #[inline(never)]
     fn intern_issued(&mut self, tid: usize, addr: WordAddr) -> (u32, u32) {
         let idx = self.line_idx(addr.line);
-        (idx, self.pair_idx(idx, self.threads[tid].core))
+        (idx, self.pair_idx(idx, self.threads[tid].core as usize))
     }
 
-    /// Issue the load of a spin on `addr` (intern and pair indices
-    /// `line`) that waits while `pred` holds.
-    fn issue_spin(&mut self, tid: usize, addr: WordAddr, line: (u32, u32), pred: SpinPred) {
-        let op = CurOp {
-            spin: Some(pred),
-            ..CurOp::new(Primitive::Load, addr, line, 0, 0, self.now)
-        };
-        self.issue_op(tid, op);
+    /// Issue the load of the spin step at the thread's pc, on `addr`
+    /// (intern and pair indices `line`).
+    fn issue_spin(&mut self, tid: usize, addr: WordAddr, line: (u32, u32)) {
+        let op = CurOp::new(Primitive::Load, addr, line, (0, 0), true, self.now);
+        self.issue_op(tid, addr.line, op);
     }
 
-    /// Issue `op`: a hit completes locally, a miss sends a request to
-    /// the line's home directory.
+    /// Issue `op` on `line`: a hit completes locally, a miss sends a
+    /// request to the line's home directory.
     #[expect(clippy::disallowed_methods, reason = "probe-instrumented helper")]
-    fn issue_op(&mut self, tid: usize, mut op: CurOp) {
-        let core = self.threads[tid].core;
+    fn issue_op(&mut self, tid: usize, line: LineId, mut op: CurOp) {
+        let core = self.threads[tid].core as usize;
         let (prim, idx, spin) = (op.prim, op.line_idx, op.spin);
         let excl = prim.needs_exclusive();
-        debug_assert_eq!(self.dir.line_at(idx), op.addr.line, "stale line index");
+        debug_assert_eq!(self.dir.line_at(idx), line, "stale line index");
         // One scan of the L1 set; a hit then touches and upgrades
         // through the slot it found.
-        let hit = self.caches[core].find(op.addr.line).filter(|&(_, state)| {
+        let hit = self.caches[core].find(line).filter(|&(_, state)| {
             if excl {
                 state.writable()
             } else {
@@ -213,7 +205,7 @@ impl<P: Probe> Engine<P> {
             }
             self.probe_emit(idx, Some(tid), core, Transition::Hit { upgrade }, pre);
             self.energy.cache_j += self.cfg.params.energy.l1_nj * 1e-9;
-            if spin.is_some() {
+            if spin {
                 self.bump_spin_loads(tid);
             } else {
                 self.bump_hits(tid);
@@ -235,7 +227,7 @@ impl<P: Probe> Engine<P> {
         } else {
             // --- miss: request to the home directory ---
             self.probe_emit(idx, Some(tid), core, Transition::Miss { excl }, None);
-            if spin.is_some() {
+            if spin {
                 self.bump_spin_loads(tid);
             } else {
                 self.bump_misses(tid);
@@ -277,37 +269,56 @@ impl<P: Probe> Engine<P> {
     /// spin-waiters if the word's value changed.
     pub(super) fn apply_value_op(&mut self, op: &mut CurOp) -> OpOutcome {
         let idx = op.line_idx as usize;
-        let word = op.addr.word as usize;
+        let word = op.word as usize;
         let current = self.values[idx][word];
         let (new, outcome) = op.prim.apply_value(current, op.operand, op.expected);
         if new != current {
             self.values[idx][word] = new;
             self.wake_waiters(op.line_idx);
         }
-        op.outcome = Some(outcome);
+        (op.prev, op.success, op.linearised) = (outcome.prev, outcome.success, true);
         outcome
     }
 
+    /// Resume every thread spinning on line `idx`, oldest first, and
+    /// empty its list.
     fn wake_waiters(&mut self, idx: u32) {
-        // Borrow the list out and put it back empty, keeping its
-        // capacity for the line's next spinners.
-        let mut list = std::mem::take(&mut self.waiters[idx as usize]);
-        for tid in list.drain(..) {
+        let (mut tid, _) =
+            std::mem::replace(&mut self.waiters[idx as usize], (NO_THREAD, NO_THREAD));
+        while tid != NO_THREAD {
             // Small propagation delay before the spinner re-checks.
             let t = self.now + 1;
-            self.schedule(t, Ev::Resume(tid as u32));
+            self.schedule(t, Ev::Resume(tid));
+            tid = std::mem::replace(&mut self.threads[tid as usize].next_waiter, NO_THREAD);
         }
-        self.waiters[idx as usize] = list;
+    }
+
+    /// Append thread `tid` to line `idx`'s spin-waiter list.
+    fn add_waiter(&mut self, idx: u32, tid: usize) {
+        let list = &mut self.waiters[idx as usize];
+        let tid = tid as u32;
+        if list.0 == NO_THREAD {
+            list.0 = tid;
+        } else {
+            self.threads[list.1 as usize].next_waiter = tid;
+        }
+        list.1 = tid;
     }
 
     pub(super) fn op_complete(&mut self, tid: usize) {
         let op = self.threads[tid].cur_op.expect("completing op exists");
-        let outcome = op.outcome.expect("op was linearised");
+        let outcome = op.outcome().expect("op was linearised");
         let in_window = self.now >= self.cfg.warmup_cycles;
-        if let Some(pred) = op.spin {
-            // A spin-wait load: evaluate the predicate on the observed
-            // value.
-            let regs = self.threads[tid].regs;
+        if op.spin {
+            // A spin-wait load: evaluate the predicate of the spin step
+            // at the thread's pc, which has not moved since the load was
+            // issued, on the observed value.
+            let t = &self.threads[tid];
+            let pred = match t.program.step(t.pc as usize) {
+                Some(Step::SpinWhile { pred, .. } | Step::SpinIndexed { pred, .. }) => *pred,
+                step => unreachable!("a spin load's pc holds {step:?}"),
+            };
+            let regs = t.regs;
             let still_waiting = match pred {
                 SpinPred::WhileBitSet => outcome.prev & 1 == 1,
                 SpinPred::WhileNe(o) => outcome.prev != resolve(o, &regs),
@@ -318,7 +329,7 @@ impl<P: Probe> Engine<P> {
                 // this instant* — a writer may have changed it between our
                 // load's linearisation and now; if so, retry immediately
                 // instead of sleeping forever.
-                let current = self.values[op.line_idx as usize][op.addr.word as usize];
+                let current = self.values[op.line_idx as usize][op.word as usize];
                 let still = match pred {
                     SpinPred::WhileBitSet => current & 1 == 1,
                     SpinPred::WhileNe(o) => current != resolve(o, &regs),
@@ -326,7 +337,7 @@ impl<P: Probe> Engine<P> {
                 };
                 if still {
                     self.threads[tid].status = Status::Spinning;
-                    self.waiters[op.line_idx as usize].push(tid);
+                    self.add_waiter(op.line_idx, tid);
                     return;
                 }
                 // Value changed already: re-run the spin step now.

@@ -44,7 +44,7 @@ use crate::equeue::CalendarQueue;
 use crate::error::{LineDiag, SimError, StuckThread};
 use crate::faults::{FabricState, FaultState};
 use crate::probe::{NoProbe, Probe, ProbeEvent, Transition};
-use crate::program::{Program, SpinPred, Step, NUM_REGS, THREAD_REG};
+use crate::program::{Program, Step, NUM_REGS, THREAD_REG};
 use crate::protocol::CoherenceKind;
 use crate::report::{EnergyBreakdown, RunLengthSummary, SimReport, ThreadReport};
 use bounce_atomics::{OpOutcome, Primitive};
@@ -105,67 +105,99 @@ impl Status {
     }
 }
 
+/// A thread's op in flight, and its outcome once linearised: 48 B, in
+/// each of up to 288 thread records. It keeps only what it cannot
+/// re-derive: its line is `dir.line_at(line_idx)`, and a spin load's
+/// predicate is the one of the spin step at the thread's pc, which does
+/// not move while the op is in flight.
 #[derive(Debug, Clone, Copy)]
 struct CurOp {
-    prim: Primitive,
-    addr: WordAddr,
-    /// Dense intern index of `addr.line` (avoids re-hashing on the
-    /// linearisation and spin-recheck paths).
-    line_idx: u32,
-    /// Pair index of (`addr.line`, the issuing core): where a hit reads
-    /// and sets its horizon (see [`Engine::pair_idx`]).
-    pair: u32,
     operand: u64,
     expected: u64,
     issued_at: u64,
-    /// Some(pred) when this op is the load of a `SpinWhile` step.
-    spin: Option<SpinPred>,
-    /// Outcome, set at the linearisation point.
-    outcome: Option<OpOutcome>,
+    /// The word's value before the op, once linearised.
+    prev: u64,
+    /// Dense intern index of the op's line (avoids re-hashing on the
+    /// linearisation and spin-recheck paths).
+    line_idx: u32,
+    /// Pair index of (the op's line, the issuing core): where a hit reads
+    /// and sets its horizon (see [`Engine::pair_idx`]).
+    pair: u32,
+    prim: Primitive,
+    /// The word within the line.
+    word: u8,
+    /// Whether this op is the load of the spin step at the thread's pc.
+    spin: bool,
+    /// Whether the op has linearised: `prev` and `success` hold its
+    /// outcome.
+    linearised: bool,
+    success: bool,
 }
 
 impl CurOp {
-    /// A plain op on `addr` (intern index `line_idx`, pair index `pair`)
-    /// issued at `now`.
+    /// An op on `addr` (intern index `line_idx`, pair index `pair`)
+    /// issued at `now`; a spin load if `spin`.
     fn new(
         prim: Primitive,
         addr: WordAddr,
         (line_idx, pair): (u32, u32),
-        operand: u64,
-        expected: u64,
+        (operand, expected): (u64, u64),
+        spin: bool,
         now: u64,
     ) -> Self {
         CurOp {
-            prim,
-            addr,
-            line_idx,
-            pair,
             operand,
             expected,
             issued_at: now,
-            spin: None,
-            outcome: None,
+            prev: 0,
+            line_idx,
+            pair,
+            prim,
+            word: addr.word,
+            spin,
+            linearised: false,
+            success: false,
         }
+    }
+
+    /// The outcome, once the op has linearised.
+    fn outcome(&self) -> Option<OpOutcome> {
+        self.linearised.then_some(OpOutcome {
+            prev: self.prev,
+            success: self.success,
+        })
     }
 }
 
 /// Entry of [`ThreadSt::lines`] at a pc whose step names no fixed line.
 const NO_LINE: (u32, u32) = (u32::MAX, u32::MAX);
 
+/// The end of a spin-waiter list: no thread.
+const NO_THREAD: u32 = u32::MAX;
+
+/// A simulated thread: 144 B, and a KNL engine holds up to 288. Its
+/// hardware thread, core and pc are `u32` like the line index (the
+/// topology bounds the first two, and a program of 2^32 steps would
+/// take 256 GiB), and handlers widen them to `usize` to index.
 struct ThreadSt {
-    hw: HwThreadId,
-    core: usize,
     program: Program,
     /// The line each step names before the run (see
     /// [`Step::thread_word`]), by pc, as its intern index and the pair
     /// index of (line, this thread's core) ([`NO_LINE`] at every other
     /// pc), resolved in `add_thread`.
     lines: Box<[(u32, u32)]>,
-    pc: usize,
     regs: [u64; NUM_REGS],
+    cur_op: Option<CurOp>,
+    /// Hardware thread index.
+    hw: u32,
+    /// Core index.
+    core: u32,
+    pc: u32,
+    /// The thread after this one in the spin-waiter list it is in, or
+    /// [`NO_THREAD`] (see [`Engine::waiters`]).
+    next_waiter: u32,
     last_success: bool,
     status: Status,
-    cur_op: Option<CurOp>,
 }
 
 /// The simulation engine. Construct with [`Engine::new`], add threads
@@ -253,8 +285,12 @@ pub struct Engine<P: Probe = NoProbe> {
     /// Precomputed tile-to-tile routes as directed link ids, flat
     /// `src * n_tiles + dst`. Empty unless the link-bandwidth model is on.
     tile_routes: Vec<Vec<u32>>,
-    /// Per-interned-line spin-waiter lists.
-    waiters: Vec<Vec<usize>>,
+    /// Per-interned-line spin-waiter lists, oldest first, as the first
+    /// and last thread ([`NO_THREAD`] when empty): the list runs through
+    /// [`ThreadSt::next_waiter`]. A spinning thread waits on one line,
+    /// so one link per thread serves every list, and spinning allocates
+    /// nothing.
+    waiters: Vec<(u32, u32)>,
     rng: StdRng,
     /// Wire-latency matrix between tiles, flat `a * n_tiles + b`.
     tile_wire: Vec<u32>,
@@ -450,7 +486,7 @@ impl<P: Probe> Engine<P> {
             line: self.dir.line_at(idx),
             core,
             thread,
-            pc: thread.map(|t| self.threads[t].pc),
+            pc: thread.map(|t| self.threads[t].pc as usize),
             kind,
             snapshots: pre.and_then(|pre| Some((pre, self.probe_snapshot(idx, None)?))),
         };
@@ -469,7 +505,7 @@ impl<P: Probe> Engine<P> {
             !std::mem::replace(&mut self.occupied[hw.0], true),
             "hardware thread {hw:?} already occupied"
         );
-        let core = self.thread_cores[hw.0] as usize;
+        let core = self.thread_cores[hw.0];
         let index = self.threads.len();
         // Intern every line the program names up front and keep each
         // fixed line's index and (line, core) pair by pc, so issuing an
@@ -482,7 +518,7 @@ impl<P: Probe> Engine<P> {
             .map(|step| match (step.thread_word(index), *step) {
                 (Some(addr), _) => {
                     let idx = self.line_idx(addr.line);
-                    (idx, self.pair_idx(idx, core))
+                    (idx, self.pair_idx(idx, core as usize))
                 }
                 (None, Step::OpIndexed { base, .. } | Step::SpinIndexed { base, .. }) => {
                     self.line_idx(base.line);
@@ -494,15 +530,16 @@ impl<P: Probe> Engine<P> {
         let mut regs = [0; NUM_REGS];
         regs[THREAD_REG as usize] = index as u64;
         self.threads.push(ThreadSt {
-            hw,
-            core,
             program,
             lines,
-            pc: 0,
             regs,
+            cur_op: None,
+            hw: hw.0 as u32,
+            core,
+            pc: 0,
+            next_waiter: NO_THREAD,
             last_success: true,
             status: Status::Ready,
-            cur_op: None,
         });
     }
 
@@ -529,7 +566,7 @@ impl<P: Probe> Engine<P> {
         let n = self.dir.tracked_lines();
         if self.values.len() < n {
             self.values.resize(n, [0u64; WORDS_PER_LINE]);
-            self.waiters.resize_with(n, Vec::new);
+            self.waiters.resize(n, (NO_THREAD, NO_THREAD));
             self.fwd_busy.resize(n, 0);
         }
         idx
@@ -688,6 +725,9 @@ impl<P: Probe> Engine<P> {
         self.hit_busy.shrink_to_fit();
         self.dir.shrink_to_fit();
         self.reports = self.zeroed_reports();
+        // A thread has at most one event queued: its resume, or the
+        // next step of its op in flight.
+        self.events.reserve(self.threads.len());
         for tid in 0..self.threads.len() {
             self.schedule(0, Ev::Resume(tid as u32));
         }
@@ -824,8 +864,8 @@ impl<P: Probe> Engine<P> {
             .take(SimError::MAX_STUCK_THREADS)
             .map(|(tid, t)| StuckThread {
                 thread: tid,
-                hw_thread: t.hw.0,
-                pc: t.pc,
+                hw_thread: t.hw as usize,
+                pc: t.pc as usize,
                 status: t.status.label(),
             })
             .collect();
@@ -873,8 +913,8 @@ impl<P: Probe> Engine<P> {
             .take(SimError::MAX_STUCK_THREADS)
             .map(|(tid, t)| StuckThread {
                 thread: tid,
-                hw_thread: t.hw.0,
-                pc: t.pc,
+                hw_thread: t.hw as usize,
+                pc: t.pc as usize,
                 status: t.status.label(),
             })
             .collect();

@@ -19,7 +19,7 @@ impl<P: Probe> Engine<P> {
         let window = run.ended_at_cycles.saturating_sub(self.cfg.warmup_cycles);
         let window_secs = window as f64 / (self.freq_ghz * 1e9);
         // Static energy: active cores × window.
-        let active_cores: std::collections::BTreeSet<usize> =
+        let active_cores: std::collections::BTreeSet<u32> =
             self.threads.iter().map(|t| t.core).collect();
         self.energy.static_j =
             active_cores.len() as f64 * self.cfg.params.energy.static_w_per_core * window_secs;
@@ -62,7 +62,7 @@ impl<P: Probe> Engine<P> {
         self.threads
             .iter()
             .map(|t| ThreadReport {
-                hw_thread: t.hw.0,
+                hw_thread: t.hw as usize,
                 ..ThreadReport::default()
             })
             .collect()

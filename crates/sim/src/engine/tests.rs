@@ -53,6 +53,16 @@ fn thread_reports_stay_small() {
 }
 
 #[test]
+fn thread_records_stay_small() {
+    // A KNL engine holds 288 thread records, each with its op in flight:
+    // the op keeps only what it cannot re-derive from its line index and
+    // the step at the thread's pc.
+    let (thread, op) = (size_of::<ThreadSt>(), size_of::<CurOp>());
+    assert!(thread <= 152, "ThreadSt is {thread} B");
+    assert!(op <= 64, "CurOp is {op} B");
+}
+
+#[test]
 fn engine_domains_match_the_topology() {
     // `transfers_by_domain` counts the domains the engine derives from
     // its own tables. A line never moves from a thread to itself, so

@@ -37,7 +37,13 @@
 //!   has ever held. A bucket's head link lives in the same link array
 //!   as the nodes' next links, and an empty bucket's tail points at its
 //!   head link, so a push appends without testing whether the bucket
-//!   was empty.
+//!   was empty. [`CalendarQueue::reserve`] sizes the slab once for a
+//!   caller that knows its peak, as the engine does at kick-off (one
+//!   node per thread).
+//! * A bucket keeps no time of its own. Every wheel entry lies in
+//!   `[base, base + NUM_BUCKETS)`, so bucket `b` holds entries for only
+//!   one instant of that span, the one congruent to `b` modulo
+//!   [`NUM_BUCKETS`], and `pop` derives it from `base`.
 //! * A 1024-bit occupancy bitmap finds the next non-empty bucket with a
 //!   word-wise scan.
 //! * Entries beyond the wheel go to a small overflow `BinaryHeap`
@@ -117,8 +123,6 @@ pub struct CalendarQueue<T> {
     /// Per bucket, the link its next entry is written to: its last node,
     /// or the bucket's own head link while it is empty.
     tail: Vec<u32>,
-    /// Per bucket, the one instant its entries are for.
-    times: Vec<u64>,
     /// Node `n`'s entry is `items[n - NUM_BUCKETS]`; `None` while free.
     items: Vec<Option<T>>,
     /// First free node, or [`NIL`].
@@ -144,7 +148,6 @@ impl<T> CalendarQueue<T> {
             wheel_len: 0,
             next: vec![NIL; NUM_BUCKETS],
             tail: (0..FIRST_NODE).collect(),
-            times: vec![0; NUM_BUCKETS],
             items: Vec::new(),
             free: NIL,
             occupied: [0; WORDS],
@@ -160,6 +163,15 @@ impl<T> CalendarQueue<T> {
     /// Whether no entries are queued.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Reserve room in the node slab for exactly `additional` nodes
+    /// beyond those it holds: a caller that knows how many entries it
+    /// will queue at once sizes the slab once instead of growing it by
+    /// doubling.
+    pub fn reserve(&mut self, additional: usize) {
+        self.items.reserve_exact(additional);
+        self.next.reserve_exact(additional);
     }
 
     /// Enqueue `item` at `time` (`time >= base`, i.e. not in the past).
@@ -199,7 +211,6 @@ impl<T> CalendarQueue<T> {
         let b = (time & MASK) as usize;
         self.next[self.tail[b] as usize] = n;
         self.tail[b] = n;
-        self.times[b] = time;
         self.occupied[b / 64] |= 1u64 << (b % 64);
         self.wheel_len += 1;
     }
@@ -238,7 +249,8 @@ impl<T> CalendarQueue<T> {
         }
         self.next[n as usize] = self.free;
         self.free = n;
-        let time = self.times[b];
+        // The one instant of `[base, base + NUM_BUCKETS)` in bucket `b`.
+        let time = self.base + ((b as u64).wrapping_sub(self.base) & MASK);
         let item = self.items[(n - FIRST_NODE) as usize]
             .take()
             .expect("a chained node holds its entry");
@@ -409,6 +421,49 @@ mod tests {
         // Popped nodes are reused: the slab holds no more nodes than
         // entries were ever queued at once.
         assert!(q.items.len() <= 3, "slab grew to {}", q.items.len());
+    }
+
+    #[test]
+    fn derived_bucket_times_match_a_reference_heap() {
+        // Pushes land up to three wheel rotations ahead, so the overflow
+        // heap takes some and the wheel's buckets are reused for later
+        // instants; pops interleave, so `base` moves by pops and, when
+        // the wheel runs empty, by day-rolls. Every popped time is
+        // derived from `base`, and a heap keyed on (time, push order)
+        // says which entry must come out.
+        use std::cmp::Reverse;
+        let (mut q, mut reference) = (CalendarQueue::new(), BinaryHeap::new());
+        let (mut now, mut state, mut far) = (0u64, 0x9E37_79B9_7F4A_7C15u64, 0);
+        for v in 0..20_000u32 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let ahead = match state % 8 {
+                0 => NUM_BUCKETS as u64 + state % (2 * NUM_BUCKETS as u64),
+                1 => NUM_BUCKETS as u64 - 1 - (state >> 8) % 4,
+                2 => 0,
+                _ => (state >> 8) % 400,
+            };
+            far += usize::from(ahead >= NUM_BUCKETS as u64);
+            q.push(now + ahead, v);
+            reference.push(Reverse((now + ahead, v)));
+            for _ in 0..(state >> 32) % 3 {
+                let want = reference.pop().map(|Reverse(e)| e);
+                assert_eq!(q.pop(), want, "after pushing {v}");
+                if let Some((t, _)) = want {
+                    now = t;
+                }
+            }
+        }
+        while let Some(Reverse(want)) = reference.pop() {
+            assert_eq!(q.pop(), Some(want));
+        }
+        assert!(q.is_empty());
+        assert!(far > 1000, "only {far} pushes went to the overflow heap");
+        assert!(
+            now > 100 * NUM_BUCKETS as u64,
+            "the wheel turned to {now} only"
+        );
     }
 
     #[test]
